@@ -116,6 +116,17 @@ class Kernel:
     #: rejected instead of mis-loaded.
     SERIAL_FORMAT = 1
 
+    def __getstate__(self) -> Dict[str, object]:
+        # ``_``-prefixed entries are memo caches (``_referenced_names``,
+        # the race analyzer's ``_parallelism_certs``) that fill as the
+        # kernel is used. Leaving them out keeps the payload — and the
+        # sandbox digest hashed from it — a function of the plan alone.
+        return {
+            name: value
+            for name, value in self.__dict__.items()
+            if not name.startswith("_")
+        }
+
     def to_payload(self) -> bytes:
         """Serialize the full kernel plan for the persistent cache."""
         import pickle

@@ -77,6 +77,14 @@ class CheckedFunction:
     params: Tuple[CheckedParam, ...]
     _expr_types: Dict[int, Type] = field(default_factory=dict, repr=False)
 
+    def __getstate__(self) -> Dict[str, object]:
+        # The kernel cache memoises the source form on the function
+        # (``_cache_source_form``); leave it out of pickles so kernel
+        # payloads, and the sandbox digest, do not depend on it.
+        state = dict(self.__dict__)
+        state.pop("_cache_source_form", None)
+        return state
+
     @property
     def body(self) -> ast.Expr:
         """The function's body expression."""

@@ -135,6 +135,20 @@ class SupervisorStats:
         return sum(self.faults.values())
 
 
+def _circuit_open(launch) -> bool:
+    """Is ``launch`` on the native rung, sandboxed, with its kernel's
+    crash circuit breaker open?"""
+    if not getattr(launch, "backend", "").startswith("native"):
+        return False
+    # A batched launch shares the per-problem run's breaker digest.
+    run = getattr(launch, "compiled", launch).run
+    if not getattr(run, "sandboxed", False):
+        return False
+    from ..runtime import sandbox
+
+    return not sandbox.get_breaker().allows(run.digest)
+
+
 class ExecutionSupervisor:
     """Supervised ``run``/``map_run`` with checkpointed recovery.
 
@@ -165,9 +179,6 @@ class ExecutionSupervisor:
         self.checkpoints = CheckpointLog()
         self.on_fault = on_fault
         self._problem_ids = itertools.count()
-        #: kernel digest -> demoted CompiledKernel (vector/scalar),
-        #: built at most once per crashing kernel.
-        self._demoted: Dict[str, object] = {}
 
         plan = injector.plan if injector is not None else None
         verify = self.policy.verify
@@ -291,11 +302,7 @@ class ExecutionSupervisor:
         batch_groups: List[List[int]] = []
         batched: set = set()
         if getattr(engine, "batching", False) and len(prepared) > 1:
-            from ..runtime.batching import (
-                BatchedLaunch,
-                pack_group,
-                plan_batches,
-            )
+            from ..runtime.batching import pack_group, plan_batches
 
             batch_groups = plan_batches(prepared)
             batched = {
@@ -307,7 +314,7 @@ class ExecutionSupervisor:
                 (prepared[i][0], prepared[i][1]) for i in group
             ]
             packed = pack_group(compiled, members, indices=group)
-            launch = BatchedLaunch(packed)
+            launch = engine.batched_launch(packed)
             self._execute_supervised(
                 launch, packed.ctx, packed.padded_domain, packed.table
             )
@@ -346,9 +353,8 @@ class ExecutionSupervisor:
             p_lo, p_hi, self.policy.checkpoint_interval
         ):
             # ``compiled`` can change mid-problem: a sandboxed native
-            # kernel whose circuit breaker opens is swapped for its
-            # demoted (vector/scalar) twin, and later epochs keep
-            # using the demoted rung.
+            # launch whose circuit breaker opens is demoted, and later
+            # epochs stay on the lower rung.
             state, compiled = self._run_epoch(
                 compiled, ctx, state, elo, ehi, problem, sm
             )
@@ -371,9 +377,8 @@ class ExecutionSupervisor:
     ) -> Tuple[np.ndarray, object]:
         """One epoch to a committed state, replaying on faults.
 
-        Returns ``(state, compiled)`` — the compiled kernel may have
-        been swapped for its demoted twin when the sandbox circuit
-        breaker opened mid-epoch.
+        Returns ``(state, compiled)`` — the launch may have been
+        demoted when the sandbox circuit breaker opened mid-epoch.
         """
         attempts = itertools.count()
         for round_index in range(self.policy.max_replays + 1):
@@ -418,9 +423,10 @@ class ExecutionSupervisor:
                     return recovered, compiled
                 # A sandboxed kernel whose breaker opened keeps
                 # raising "circuit open" on every replay — burning
-                # the budget can only end in escalation. Re-resolve
-                # down the ladder instead and replay there.
-                compiled = self._demote_if_circuit_open(compiled)
+                # the budget can only end in escalation. Demote it
+                # and replay on the lower rung instead.
+                if _circuit_open(compiled):
+                    compiled = self.engine.demote(compiled)
                 self.stats.replays += 1
                 self.stats.replayed_ranges.append((problem, elo, ehi))
         raise FaultEscalation(
@@ -429,58 +435,6 @@ class ExecutionSupervisor:
             FaultSite(problem, elo, sm, self.policy.max_replays,
                       "kernel"),
         )
-
-    def _demote_if_circuit_open(self, compiled):
-        """Swap a circuit-broken sandboxed kernel for its demoted twin.
-
-        Lane-batched launches carry their own rung ladder: they
-        expose ``demote_if_circuit_open()`` (native-batched →
-        vector-batched → scalar sweep, same object), so the launch
-        keeps its single-launch shape through the demotion and the
-        replay simply reruns it on the lower rung. No-op for
-        everything else (plain kernels, a sandboxed kernel whose
-        breaker is still closed — a transient crash there is retried
-        on native as usual).
-        """
-        demote = getattr(compiled, "demote_if_circuit_open", None)
-        if demote is not None:
-            if demote():
-                engine = self.engine
-                engine.native_demotions = (
-                    getattr(engine, "native_demotions", 0) + 1
-                )
-            return compiled
-        run = getattr(compiled, "run", None)
-        if not getattr(run, "sandboxed", False):
-            return compiled
-        from ..runtime import sandbox as sandbox_rt
-
-        if sandbox_rt.get_breaker().allows(run.digest):
-            return compiled
-        demoted = self._demoted.get(run.digest)
-        if demoted is None:
-            from ..ir import npbackend
-            from ..ir.pybackend import compile_kernel
-            from ..runtime.engine import CompiledKernel
-
-            kernel = compiled.kernel
-            backend = self.engine._auto_choice(
-                kernel, npbackend.eligibility(kernel).ok,
-                None, allow_native=False,
-            )
-            if backend == "vector":
-                run_fn, source = npbackend.compile_vector_kernel(kernel)
-            else:
-                run_fn, source = compile_kernel(kernel)
-            demoted = CompiledKernel(
-                kernel, run_fn, source, 0.0, backend=backend
-            )
-            self._demoted[run.digest] = demoted
-        engine = self.engine
-        engine.native_demotions = (
-            getattr(engine, "native_demotions", 0) + 1
-        )
-        return demoted
 
     def _attempt(
         self,

@@ -23,7 +23,7 @@ kernel masks every store with the problem's own validity, so padding
 cells are never written (the unpack step slices each problem back out
 of its row).
 
-Two rungs can run a packed group, mirroring the per-problem ladder:
+Three rungs can run a packed group, mirroring the per-problem ladder:
 
 * **native-batched** — the compiled backend's batched entry point
   (:func:`repro.ir.cbackend.native_batched_param_spec`): one
@@ -36,13 +36,17 @@ Two rungs can run a packed group, mirroring the per-problem ladder:
 * **vector-batched** — the NumPy batched twin
   (:func:`repro.ir.npbackend.emit_batched_source`), which masks
   per-problem validity lane-wise.
+* **scalar-batched** — every member on the scalar generator over its
+  own slice of the padded table, the floor every kernel supports.
 
-:class:`BatchedLaunch` picks the rung from the group's compiled
-backend and degrades gracefully — a failed native batched build (or
-an open sandbox circuit breaker) demotes the launch to
-vector-batched when the kernel is vector-eligible, else to a scalar
-per-member sweep, without losing the single-launch shape the
-resilience layer supervises.
+:class:`BatchedLaunch` starts on the rung of the group's compiled
+backend. It does not demote itself: the engine's one ladder
+(:meth:`~repro.runtime.engine.Engine.demote`) moves it down — when
+the batched entry cannot load, when a sandboxed launch crashes, or
+when the supervisor finds the kernel's circuit breaker open — to
+vector-batched when the kernel is vector-eligible, else to the scalar
+sweep, without losing the single-launch shape the resilience layer
+supervises.
 
 :class:`BatchedLaunch` adapts a packed batch to the compiled-kernel
 protocol the resilience layer speaks (``run(T, ctx, part_lo,
@@ -55,7 +59,7 @@ divergence oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence as Seq, Tuple
+from typing import Dict, List, Sequence as Seq, Tuple
 
 import numpy as np
 
@@ -225,28 +229,22 @@ class BatchedLaunch:
     The launch runs on a **rung** — ``"native"`` (the batched C
     entry, picked when the group compiled native), ``"vector"`` (the
     batched NumPy twin) or ``"scalar"`` (per-member sweep, the floor
-    every kernel supports). ``run`` degrades one rung at a time on
-    :class:`~repro.lang.errors.NativeBuildError`, and
-    :meth:`demote_if_circuit_open` lets the supervisor push an
-    already-crashing group off native before a replay.
+    every kernel supports). :meth:`Engine.demote
+    <repro.runtime.engine.Engine.demote>` lowers it.
 
     ``reference_run`` gives the divergence oracle an independent
     backend: every member replayed on the *scalar* generator over its
     own slice of the padded table.
     """
 
-    def __init__(
-        self, batch: PackedBatch, rung: Optional[str] = None
-    ) -> None:
+    def __init__(self, batch: PackedBatch) -> None:
         self.batch = batch
         self.compiled = batch.compiled
-        if rung is None:
-            rung = (
-                "native"
-                if getattr(self.compiled, "backend", "") == "native"
-                else "vector"
-            )
-        self.rung = rung
+        self.rung = (
+            "native"
+            if getattr(self.compiled, "backend", "") == "native"
+            else "vector"
+        )
         self._scalar_run = None
 
     @property
@@ -277,67 +275,17 @@ class BatchedLaunch:
 
         return emit_kernel_source(self.kernel)
 
-    def demote(self) -> str:
-        """Drop one rung: native → vector when the kernel is
-        vector-eligible, else (and from vector) → scalar. Returns the
-        new rung."""
-        if self.rung == "native":
-            from ..ir import npbackend
-
-            self.rung = (
-                "vector"
-                if npbackend.eligibility(self.kernel).ok
-                else "scalar"
-            )
-        else:
-            self.rung = "scalar"
-        return self.rung
-
-    def demote_if_circuit_open(self) -> bool:
-        """Supervisor hook: when the group's kernel has an open
-        sandbox circuit breaker, leave the native rung *before* the
-        next replay (one batched crash already costs a worker; a
-        replay into an open breaker would just crash again)."""
-        if self.rung != "native":
-            return False
-        run = getattr(self.compiled, "batched_native_run", None)
-        if run is None:
-            run = getattr(self.compiled, "run", None)
-        if not getattr(run, "sandboxed", False):
-            return False
-        from . import sandbox
-
-        if sandbox.get_breaker().allows(run.digest):
-            return False
-        self.demote()
-        return True
-
     def run(self, table, ctx, part_lo=None, part_hi=None):
-        """One batched sweep over the global partition range.
-
-        A native build/load failure is permanent for this process, so
-        it demotes the launch (native → vector → scalar) and retries
-        on the spot — the table is untouched by a failed build.
-        Sandbox *crash* faults are deliberately not caught here: the
-        supervisor owns replay-and-demote for those.
-        """
-        from ..lang.errors import NativeBuildError
-
-        while True:
-            if self.rung == "native":
-                try:
-                    batched = self.compiled.ensure_batched_native()
-                except NativeBuildError:
-                    self.demote()
-                    continue
-                return batched(
-                    table, ctx, part_lo=part_lo, part_hi=part_hi
-                )
-            if self.rung == "vector":
-                return self.compiled.ensure_batched()(
-                    table, ctx, part_lo=part_lo, part_hi=part_hi
-                )
-            return self._scalar_sweep(table, part_lo, part_hi)
+        """One batched sweep over the global partition range."""
+        if self.rung == "native":
+            return self.compiled.ensure_batched_native()(
+                table, ctx, part_lo=part_lo, part_hi=part_hi
+            )
+        if self.rung == "vector":
+            return self.compiled.ensure_batched()(
+                table, ctx, part_lo=part_lo, part_hi=part_hi
+            )
+        return self._scalar_sweep(table, part_lo, part_hi)
 
     def _scalar_sweep(self, table, part_lo=None, part_hi=None):
         """Every member on the scalar generator, in its own slice."""

@@ -65,20 +65,38 @@ from .values import Bindings, Sequence
 #: Default bound of the engine's in-memory kernel cache.
 DEFAULT_CACHE_CAPACITY = 256
 
-#: Below this maximum domain extent, ``backend="auto"`` stops
-#: preferring the vector backend over scalar/native: NumPy's per-op
-#: dispatch overhead loses to the scalar loop on tiny partitions
-#: (BENCH_backend.json measured the crossover between sizes 64 and
-#: 128). Override with ``REPRO_VECTOR_CROSSOVER``.
-VECTOR_CROSSOVER_DEFAULT = 96
+#: Below this maximum domain extent the ladder prefers scalar over
+#: vector: NumPy's per-op dispatch overhead loses to the scalar loop on
+#: tiny partitions (BENCH_backend.json measured the crossover between
+#: sizes 64 and 128). It never gates native, which wins at every size.
+VECTOR_CROSSOVER = 96
 
 
-def vector_crossover_extent() -> int:
-    """The measured auto-ladder vector/scalar crossover extent."""
-    try:
-        return int(os.environ["REPRO_VECTOR_CROSSOVER"])
-    except (KeyError, ValueError):
-        return VECTOR_CROSSOVER_DEFAULT
+def size_bucket(domain: Optional[Domain]) -> Optional[bool]:
+    """Is ``domain`` at or above the vector crossover? (None: unknown,
+    which the ladder treats as large.)"""
+    if domain is None:
+        return None
+    return max(domain.extents) >= VECTOR_CROSSOVER
+
+
+def next_rung(
+    kernel: Kernel, rung: str, bucket: Optional[bool] = None
+) -> str:
+    """The rung below ``rung`` for ``kernel`` on the ladder
+    native > vector > scalar.
+
+    Leaving native lands on vector when the kernel is vector-eligible
+    and its domain is not known to be under the crossover
+    (``bucket=False``); otherwise, and from vector or scalar, it lands
+    on scalar, the floor every kernel supports.
+    """
+    if rung == "native" and bucket is not False:
+        from ..ir import npbackend
+
+        if npbackend.eligibility(kernel).ok:
+            return "vector"
+    return "scalar"
 
 
 @dataclass
@@ -291,19 +309,16 @@ class Engine:
         self.sanitize = sanitize
         self.verified_schedules = 0
         self.verify_failures = 0
-        #: Launches re-routed off the native backend after a sandbox
-        #: worker crash/hang or an open circuit breaker (the service
-        #: stats endpoint sums this across its worker engines).
+        #: Launches re-routed off the native backend by
+        #: :meth:`demote`: a sandbox worker crash or hang, an open
+        #: circuit breaker, or a batched entry that cannot load (the
+        #: service stats endpoint sums this across its worker engines).
         self.native_demotions = 0
         self._verdicts: Dict[str, tuple] = {}
-        # Memoised backend resolution: content hash (+ size bucket)
-        # -> (resolved backend, sandbox kernel digest or None, the
-        # allow_native=False fallback). Keeps the auto ladder's
-        # eligibility probes off the hot path and guarantees the
-        # kernel cache keys on the *resolved* backend; the digest
-        # lets a memo hit consult the crash circuit breaker without
-        # rebuilding the kernel.
-        self._resolved: Dict[tuple, tuple] = {}
+        # Memoised rung choice: (content hash, size bucket) -> rung.
+        # Keeps the ladder's eligibility probes off the hot path and
+        # makes the kernel cache key on the *chosen* rung.
+        self._rungs: Dict[tuple, str] = {}
         # Memoised schedule search: (function identity, domain
         # extents, bound, solver) -> schedule. A lane-batched map
         # group solves one schedule for the whole batch instead of
@@ -411,43 +426,22 @@ class Engine:
             )
         return certificate
 
-    # -- compilation ----------------------------------------------------------
+    # -- the execution ladder -------------------------------------------------
 
-    def _auto_choice(
-        self, kernel: Kernel, vector_ok: bool,
-        bucket: Optional[bool], allow_native: bool,
-    ) -> str:
-        """Walk the auto ladder: native > vector > scalar.
+    def _pick_rung(self, kernel: Kernel, bucket: Optional[bool]) -> str:
+        """Resolve this engine's backend mode to a rung for one kernel.
 
-        ``bucket`` carries the size test (``None`` = unknown extents,
-        treat as large): below the measured crossover extent the
-        vector backend's per-op dispatch overhead loses to the plain
-        scalar loop, so auto stops preferring it (the paper's Table 2
-        sizes are all far above the crossover).
+        ``auto`` (and a ``REPRO_BACKEND=native`` preference) takes
+        native when the toolchain and the kernel allow it, else the
+        next rung down; a forced backend the kernel cannot take raises
+        a :class:`CodegenError` naming the violated rule.
         """
-        if allow_native:
-            from ..ir.cbackend import native_eligibility
-            from . import native as native_rt
-
-            if (
-                native_rt.available().ok
-                and native_eligibility(kernel).ok
-            ):
-                return "native"
-        if vector_ok and (bucket is None or bucket):
-            return "vector"
-        return "scalar"
-
-    def _choose_backend(
-        self, kernel: Kernel, bucket: Optional[bool]
-    ) -> str:
-        """Resolve this engine's backend mode for one kernel."""
-        from ..ir import npbackend
-
-        verdict = npbackend.eligibility(kernel)
         if self.backend == "scalar":
             return "scalar"
         if self.backend == "vector":
+            from ..ir import npbackend
+
+            verdict = npbackend.eligibility(kernel)
             if not verdict.ok:
                 # Fail up front with the *rule* that was violated,
                 # rather than letting the generator die mid-emission.
@@ -457,102 +451,31 @@ class Engine:
                     f"[{verdict.rule}]: {verdict.detail}"
                 )
             return "vector"
-        if self.backend == "native":
+        forced = self.backend == "native" and self.backend_forced
+        if self.sanitize:
+            if forced:
+                raise CodegenError(
+                    "backend='native' cannot run sanitized: the "
+                    "sanitizer instruments the generated Python "
+                    "partition loop, which machine code does not "
+                    "have"
+                )
+        else:
             from ..ir.cbackend import native_eligibility
             from . import native as native_rt
 
-            avail = native_rt.available()
-            native = native_eligibility(kernel)
-            if avail.ok and native.ok and not self.sanitize:
+            verdict = native_rt.available()
+            if verdict.ok:
+                verdict = native_eligibility(kernel)
+            if verdict.ok:
                 return "native"
-            if self.backend_forced:
-                if self.sanitize:
-                    raise CodegenError(
-                        "backend='native' cannot run sanitized: the "
-                        "sanitizer instruments the generated Python "
-                        "partition loop, which machine code does not "
-                        "have"
-                    )
-                bad = avail if not avail.ok else native
+            if forced:
                 raise CodegenError(
                     f"backend='native' was forced but kernel "
                     f"{kernel.name!r} cannot use it "
-                    f"[{bad.rule}]: {bad.detail}"
+                    f"[{verdict.rule}]: {verdict.detail}"
                 )
-            # Env preference: degrade down the rest of the ladder.
-            return self._auto_choice(
-                kernel, verdict.ok, bucket, allow_native=False
-            )
-        return self._auto_choice(
-            kernel, verdict.ok, bucket,
-            allow_native=not self.sanitize,
-        )
-
-    def _resolve_backend(
-        self,
-        func: CheckedFunction,
-        schedule: Schedule,
-        domain: Optional[Domain],
-    ) -> Tuple[str, Optional[Kernel]]:
-        """Memoised backend resolution for one (function, schedule).
-
-        Returns ``(backend_name, kernel_or_None)`` — the kernel is
-        only built (and returned for reuse) on a memo miss. When the
-        sandbox is on and the kernel resolves native, the crash
-        circuit breaker is consulted on every call (memo hits
-        included): an open breaker re-routes to the memoised
-        ``allow_native=False`` fallback *without* rewriting the memo,
-        so the kernel returns to native once the breaker half-opens.
-        """
-        if domain is None:
-            bucket: Optional[bool] = None
-        else:
-            bucket = max(domain.extents) >= vector_crossover_extent()
-        rkey = (
-            kernel_cache_key(func, schedule, self.prob_mode, "resolve"),
-            bucket,
-        )
-        hit = self._resolved.get(rkey)
-        if hit is not None:
-            resolved, digest, fallback = hit
-            if digest is not None and self._breaker_open(digest):
-                self.native_demotions += 1
-                return fallback, None
-            return resolved, None
-        kernel = build_kernel(func, schedule, self.prob_mode)
-        resolved = self._choose_backend(kernel, bucket)
-        digest = None
-        fallback = resolved
-        if resolved == "native":
-            from . import sandbox as sandbox_rt
-
-            if sandbox_rt.enabled():
-                from ..ir import npbackend
-
-                digest = sandbox_rt.kernel_digest(kernel)
-                fallback = self._auto_choice(
-                    kernel, npbackend.eligibility(kernel).ok,
-                    bucket, allow_native=False,
-                )
-        self._resolved[rkey] = (resolved, digest, fallback)
-        if digest is not None and self._breaker_open(digest):
-            self.native_demotions += 1
-            return fallback, kernel
-        return resolved, kernel
-
-    def _breaker_open(self, digest: str) -> bool:
-        from . import sandbox as sandbox_rt
-
-        if not sandbox_rt.enabled():
-            return False
-        return not sandbox_rt.get_breaker().allows(digest)
-
-    @staticmethod
-    def _is_sandbox_fault(err: Exception) -> bool:
-        """A sandboxed native launch died (crash / hang / breaker)."""
-        from ..resilience.faults import SandboxHang, WorkerCrash
-
-        return isinstance(err, (WorkerCrash, SandboxHang))
+        return next_rung(kernel, "native", bucket)
 
     def compile(
         self,
@@ -574,12 +497,50 @@ class Engine:
         """
         from ..lang.errors import NativeBuildError
 
-        resolved, kernel = self._resolve_backend(
-            func, schedule, domain
+        bucket = size_bucket(domain)
+        rkey = (
+            kernel_cache_key(func, schedule, self.prob_mode, "resolve"),
+            bucket,
         )
-        key = kernel_cache_key(
-            func, schedule, self.prob_mode, resolved
-        )
+        rung = self._rungs.get(rkey)
+        kernel = None
+        if rung is None:
+            kernel = build_kernel(func, schedule, self.prob_mode)
+            rung = self._rungs[rkey] = self._pick_rung(kernel, bucket)
+        try:
+            return self._compile_on(func, schedule, rung, kernel)
+        except NativeBuildError as err:
+            if self.backend == "native" and self.backend_forced:
+                # Name the failure the way a forced-vector
+                # CodegenError names its eligibility rule, so
+                # callers see which toolchain step broke.
+                raise NativeBuildError(
+                    f"backend='native' was forced but kernel "
+                    f"{func.name!r} failed to build "
+                    f"[build-failed]: {err.message}",
+                    err.span,
+                ) from err
+        # Eligibility said yes but the toolchain said no (compiler
+        # rejection, dead probe). Permanent for this kernel: every
+        # memoised size drops down the ladder, so later calls skip
+        # the doomed build.
+        kernel = kernel or build_kernel(func, schedule, self.prob_mode)
+        for key, chosen in list(self._rungs.items()):
+            if key[0] == rkey[0] and chosen == "native":
+                self._rungs[key] = next_rung(kernel, "native", key[1])
+        return self._compile_on(func, schedule, self._rungs[rkey], kernel)
+
+    def _compile_on(
+        self,
+        func: CheckedFunction,
+        schedule: Schedule,
+        rung: str,
+        kernel: Optional[Kernel] = None,
+    ) -> CompiledKernel:
+        """Compile (or fetch) the kernel on one rung, through the
+        kernel cache — the only place a :class:`CompiledKernel` is
+        built."""
+        key = kernel_cache_key(func, schedule, self.prob_mode, rung)
         cached = self._cache.lookup(key)
         if cached is not None:
             self.cache_hits += 1
@@ -589,108 +550,83 @@ class Engine:
         if kernel is None:
             kernel = build_kernel(func, schedule, self.prob_mode)
         so_path = None
-        if resolved == "native":
+        if rung == "native":
             from . import native as native_rt
 
-            try:
-                run, source, so_path = native_rt.compile_native(kernel)
-            except NativeBuildError as err:
-                if self.backend == "native" and self.backend_forced:
-                    # Name the failure the way a forced-vector
-                    # CodegenError names its eligibility rule, so
-                    # callers see which toolchain step broke.
-                    raise NativeBuildError(
-                        f"backend='native' was forced but kernel "
-                        f"{kernel.name!r} failed to build "
-                        f"[build-failed]: {err.message}",
-                        err.span,
-                    ) from err
-                # Eligibility said yes but the toolchain said no
-                # (compiler rejection, dead probe). Permanent for
-                # this kernel: drop down the ladder and re-memoise
-                # so later calls skip the doomed build.
-                from ..ir import npbackend
-
-                resolved = self._auto_choice(
-                    kernel,
-                    npbackend.eligibility(kernel).ok,
-                    None if domain is None
-                    else max(domain.extents) >= vector_crossover_extent(),
-                    allow_native=False,
-                )
-                for rkey, entry in list(self._resolved.items()):
-                    if entry[0] == "native" and rkey[0] == kernel_cache_key(
-                        func, schedule, self.prob_mode, "resolve"
-                    ):
-                        self._resolved[rkey] = (resolved, None, resolved)
-                key = kernel_cache_key(
-                    func, schedule, self.prob_mode, resolved
-                )
-                cached = self._cache.lookup(key)
-                if cached is not None:
-                    self.cache_hits += 1
-                    return cached
-        if resolved == "native":
-            pass  # compiled above
-        elif resolved == "vector":
+            run, source, so_path = native_rt.compile_native(kernel)
+        elif rung == "vector":
             from ..ir import npbackend
 
             run, source = npbackend.compile_vector_kernel(kernel)
         else:
             run, source = compile_kernel(kernel)
-        elapsed = time.perf_counter() - started
         compiled = CompiledKernel(
-            kernel, run, source, elapsed,
-            backend=resolved, so_path=so_path,
+            kernel, run, source, time.perf_counter() - started,
+            backend=rung, so_path=so_path,
         )
         self._cache.store(key, compiled)
         return compiled
 
-    def _compile_demoted(
-        self,
-        func: CheckedFunction,
-        schedule: Schedule,
-        domain: Optional[Domain],
-    ) -> CompiledKernel:
-        """Compile the same kernel one rung down (native excluded).
+    def demote(self, launch, domain: Optional[Domain] = None):
+        """Move a compiled kernel or batched launch one rung down.
 
-        The recovery path after a sandbox worker crash/hang: the
-        native launch is abandoned and the problem re-executes on
-        the ``allow_native=False`` ladder choice (vector when
-        eligible, else scalar). Shares the kernel cache, so repeated
-        demotions of one kernel compile exactly once.
+        The ladder's one demotion step, shared by :meth:`launch`,
+        :meth:`batched_launch` and the resilience supervisor. A
+        batched launch drops its rung in place; a compiled kernel is
+        compiled on the next rung through the kernel cache, sized by
+        ``domain`` (packed groups and the supervisor pass none, so
+        they take vector whenever the kernel is eligible). Each launch
+        leaving native counts once in :attr:`native_demotions`.
         """
-        from ..ir import npbackend
+        from .batching import BatchedLaunch
 
-        kernel = build_kernel(func, schedule, self.prob_mode)
-        bucket = (
-            None
-            if domain is None
-            else max(domain.extents) >= vector_crossover_extent()
-        )
-        resolved = self._auto_choice(
-            kernel, npbackend.eligibility(kernel).ok,
-            bucket, allow_native=False,
-        )
-        key = kernel_cache_key(
-            func, schedule, self.prob_mode, resolved
-        )
-        cached = self._cache.lookup(key)
-        if cached is not None:
-            self.cache_hits += 1
-            return cached
-        self.cache_misses += 1
-        started = time.perf_counter()
-        if resolved == "vector":
-            run, source = npbackend.compile_vector_kernel(kernel)
-        else:
-            run, source = compile_kernel(kernel)
-        elapsed = time.perf_counter() - started
-        compiled = CompiledKernel(
-            kernel, run, source, elapsed, backend=resolved
-        )
-        self._cache.store(key, compiled)
-        return compiled
+        batched = isinstance(launch, BatchedLaunch)
+        rung = launch.rung if batched else launch.backend
+        if rung == "native":
+            self.native_demotions += 1
+        lower = next_rung(launch.kernel, rung, size_bucket(domain))
+        if batched:
+            launch.rung = lower
+            return launch
+        kernel = launch.kernel
+        return self._compile_on(kernel.func, kernel.schedule, lower, kernel)
+
+    def launch(self, launch, table, ctx, domain: Optional[Domain] = None):
+        """Run a compiled kernel or batched launch into ``table``.
+
+        A sandboxed native launch that dies (worker crash, deadline
+        kill, open circuit breaker) leaves ``table`` untouched: the
+        launch is demoted and reruns from a zeroed table, so integer
+        kernels recover bitwise-identical. Returns the launch that
+        filled the table.
+        """
+        from ..resilience.faults import SandboxHang, WorkerCrash
+
+        try:
+            launch.run(table, ctx)
+        except (WorkerCrash, SandboxHang):
+            launch = self.demote(launch, domain)
+            table[...] = 0
+            launch.run(table, ctx)
+        return launch
+
+    def batched_launch(self, packed):
+        """A packed map group as a launch on its compiled rung.
+
+        A native group whose batched entry cannot load (say, a stale
+        shared object without the symbol) is demoted here, before
+        anything runs.
+        """
+        from ..lang.errors import NativeBuildError
+        from .batching import BatchedLaunch
+
+        launch = BatchedLaunch(packed)
+        if launch.rung == "native":
+            try:
+                packed.compiled.ensure_batched_native()
+            except NativeBuildError:
+                self.demote(launch)
+        return launch
 
     def schedule_for(
         self,
@@ -995,24 +931,9 @@ class Engine:
                 compiled, table, ctx, domain
             )
         else:
-
-            def execute_one(_k) -> None:
-                try:
-                    compiled.run(table, ctx)
-                except Exception as err:
-                    if not self._is_sandbox_fault(err):
-                        raise
-                    # The sandboxed native launch died (worker crash,
-                    # deadline kill, or open breaker). The parent
-                    # table is untouched — re-zero it and re-execute
-                    # one rung down; integer kernels recover
-                    # bitwise-identical.
-                    self.native_demotions += 1
-                    demoted = self._compile_demoted(
-                        func, schedule, domain
-                    )
-                    table[...] = 0
-                    demoted.run(table, ctx)
+            execute_one = lambda _k: self.launch(  # noqa: E731
+                compiled, table, ctx, domain
+            )
 
         report = self.device.launch([problem], run=execute_one)
         coords = self.result_coords(func, bound, domain, at, initial)
@@ -1143,17 +1064,7 @@ class Engine:
 
                 run_sanitized(compiled, table, ctx, domain)
             else:
-                try:
-                    compiled.run(table, ctx)
-                except Exception as err:
-                    if not self._is_sandbox_fault(err):
-                        raise
-                    self.native_demotions += 1
-                    demoted = self._compile_demoted(
-                        func, compiled.schedule, domain
-                    )
-                    table[...] = 0
-                    demoted.run(table, ctx)
+                self.launch(compiled, table, ctx, domain)
             coords = (
                 None
                 if reduce
@@ -1178,9 +1089,7 @@ class Engine:
                 execute and self.batching and not self.sanitize
                 and len(prepared) > 1
             ):
-                from .batching import (
-                    BatchedLaunch, pack_group, plan_batches,
-                )
+                from .batching import pack_group, plan_batches
 
                 batch_groups = plan_batches(prepared)
                 batched = {
@@ -1194,20 +1103,11 @@ class Engine:
                     (prepared[i][0], prepared[i][1]) for i in group
                 ]
                 packed = pack_group(compiled, members, indices=group)
-                launch = BatchedLaunch(packed)
-                try:
-                    launch.run(packed.table, packed.ctx)
-                except Exception as err:
-                    if not self._is_sandbox_fault(err):
-                        raise
-                    # A sandboxed batched launch crashed (or its
-                    # breaker is open): one disposable worker died,
-                    # the parent table is untouched. Demote the whole
-                    # group one rung and rerun from a clean table.
-                    self.native_demotions += 1
-                    launch.demote()
-                    packed.table[...] = 0
-                    launch.run(packed.table, packed.ctx)
+                # A crash fails the group as a unit: it demotes and
+                # reruns whole.
+                launch = self.launch(
+                    self.batched_launch(packed), packed.table, packed.ctx
+                )
                 batched_backends.append(launch.backend)
                 for slot, index in enumerate(group):
                     p_bound, p_domain, _ = prepared[index]

@@ -21,10 +21,12 @@ long-lived **worker subprocesses**:
   :class:`~repro.resilience.faults.SandboxHang` — both
   ``DeviceFault`` subclasses, so the supervisor replays them and the
   service retry loop classifies them as device failures.
-* A per-kernel-digest :class:`CircuitBreaker` demotes a kernel after
-  ``K`` crashes (``REPRO_SANDBOX_BREAKER_K``, default 3): the engine
-  consults it at resolve time and re-routes the kernel down the
-  ladder (native → vector → scalar); after a cooldown
+* A per-kernel-digest :class:`CircuitBreaker` opens after ``K``
+  crashes (``REPRO_SANDBOX_BREAKER_K``, default 3). It is enforced at
+  launch: :class:`SandboxedNativeRun` fails an open-breaker launch
+  with ``WorkerCrash`` before spawning anything, and the engine's
+  launch helper demotes it down the ladder (native → vector →
+  scalar) like any crash. After a cooldown
   (``REPRO_SANDBOX_BREAKER_COOLDOWN`` seconds, default 30) the
   breaker goes half-open and one probe launch may try native again.
 
@@ -303,8 +305,8 @@ class CircuitBreaker:
     """Per-kernel-digest crash circuit breaker.
 
     States per digest: **closed** (launches allowed), **open**
-    (``threshold`` failures within the cooldown window — the engine
-    resolves the kernel to a lower rung instead), **half-open**
+    (``threshold`` failures within the cooldown window — launches
+    fail at once and the engine demotes them), **half-open**
     (cooldown elapsed — one probe launch may try native again; its
     outcome closes or re-opens the breaker).
     """
@@ -610,7 +612,10 @@ def reset() -> None:
 
 
 def kernel_digest(kernel) -> str:
-    """Content digest keying the circuit breaker and worker memo."""
+    """Content digest keying the circuit breaker and worker memo.
+
+    A function of the kernel plan alone: the payload leaves out memo
+    caches that fill as the kernel is used."""
     return hashlib.sha256(kernel.to_payload()).hexdigest()
 
 

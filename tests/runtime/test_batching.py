@@ -275,15 +275,18 @@ class TestNativeRung:
 
     have_cc = _native_rt.available().ok
 
-    def launch_for(self, edit_func, backend="native"):
-        engine = Engine(backend=backend)
-        prepared, _, _, _ = engine.prepare_map(
+    def packed_for(self, edit_func, backend="native"):
+        self.engine = Engine(backend=backend)
+        prepared, _, _, _ = self.engine.prepare_map(
             edit_func, BASE, edit_problems()
         )
         (group,) = plan_batches(prepared)
         compiled = prepared[group[0]][2]
         members = [(prepared[i][0], prepared[i][1]) for i in group]
-        return BatchedLaunch(pack_group(compiled, members, group))
+        return pack_group(compiled, members, group)
+
+    def launch_for(self, edit_func, backend="native"):
+        return BatchedLaunch(self.packed_for(edit_func, backend))
 
     def native_launch(self, edit_func):
         return self.launch_for(edit_func, "native")
@@ -295,7 +298,7 @@ class TestNativeRung:
 
     def test_demotion_ladder_bottoms_out_at_scalar(self, edit_func):
         launch = self.launch_for(edit_func, "vector")
-        assert launch.demote() == "scalar"
+        assert self.engine.demote(launch).rung == "scalar"
         assert launch.backend == "scalar-batched"
 
     @pytest.mark.skipif(not have_cc, reason="no C compiler")
@@ -303,8 +306,8 @@ class TestNativeRung:
         launch = self.native_launch(edit_func)
         assert launch.rung == "native"
         assert launch.backend == "native-batched"
-        assert launch.demote() == "vector"
-        assert launch.demote() == "scalar"
+        assert self.engine.demote(launch).rung == "vector"
+        assert self.engine.demote(launch).rung == "scalar"
 
     @pytest.mark.skipif(not have_cc, reason="no C compiler")
     def test_native_rung_matches_scalar_sweep(self, edit_func):
@@ -326,9 +329,10 @@ class TestNativeRung:
         """A native compiled whose shared object went missing demotes
         gracefully: the launch lands on the vector rung and still
         fills the exact table."""
-        launch = self.native_launch(edit_func)
-        launch.compiled.so_path = "/nonexistent/kernel.so"
-        launch.compiled.batched_native_run = None
+        packed = self.packed_for(edit_func)
+        packed.compiled.so_path = "/nonexistent/kernel.so"
+        packed.compiled.batched_native_run = None
+        launch = self.engine.batched_launch(packed)
         batch = launch.batch
         table = batch.table.copy()
         launch.run(table, batch.ctx)

@@ -12,8 +12,7 @@ from repro.lang.typecheck import check_function
 from repro.runtime import native
 from repro.runtime.engine import (
     Engine,
-    VECTOR_CROSSOVER_DEFAULT,
-    vector_crossover_extent,
+    VECTOR_CROSSOVER,
 )
 from repro.runtime.values import Bindings, Sequence
 
@@ -276,17 +275,9 @@ class TestEngineLadder:
 
 
 class TestCrossover:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_VECTOR_CROSSOVER", raising=False)
-        assert vector_crossover_extent() == VECTOR_CROSSOVER_DEFAULT
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR_CROSSOVER", "12")
-        assert vector_crossover_extent() == 12
-
-    def test_invalid_env_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR_CROSSOVER", "not-a-number")
-        assert vector_crossover_extent() == VECTOR_CROSSOVER_DEFAULT
+    def test_default(self):
+        """The extent BENCH_backend.json measured (between 64 and 128)."""
+        assert VECTOR_CROSSOVER == 96
 
     def test_small_problems_prefer_scalar(self, monkeypatch):
         """Below the crossover extent, auto picks scalar over vector:
@@ -298,9 +289,12 @@ class TestCrossover:
 
     def test_large_problems_prefer_vector(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE_DISABLE", "1")
-        monkeypatch.setenv("REPRO_VECTOR_CROSSOVER", "8")
         engine = Engine(backend="auto")
-        big, *_ = compile_edit(engine, edit_bindings(9, 11))
+        word = "ab" * (VECTOR_CROSSOVER // 2)  # extents of 97
+        big, *_ = compile_edit(
+            engine,
+            {"s": Sequence(word, ALPHABET), "t": Sequence(word, ALPHABET)},
+        )
         assert big.backend == "vector"
 
     @needs_cc

@@ -231,6 +231,25 @@ class TestKernelDigest:
         assert digest == compiled.run.digest
         assert len(digest) == 64
 
+    @needs_cc
+    def test_digest_ignores_memo_caches(self, sandboxed):
+        """Building fills memo entries on the kernel; the digest keys
+        the plan alone, so it is the same before and after."""
+        from repro.ir.kernel import build_kernel
+        from repro.runtime.values import Bindings
+        from repro.service.cache import kernel_cache_key
+
+        engine = Engine(backend="native")
+        func = edit_func()
+        domain = engine.domain_of(func, Bindings(edit_args()))
+        kernel = build_kernel(func, engine.schedule_for(func, domain))
+        before = sandbox.kernel_digest(kernel)
+        run, _source, _so_path = native.compile_native(kernel)
+        assert sandbox.kernel_digest(kernel) == before
+        assert run.digest == before
+        kernel_cache_key(func, kernel.schedule, "direct", "native")
+        assert sandbox.kernel_digest(kernel) == before
+
 
 class TestEnablement:
     def test_disabled_by_default(self, monkeypatch):
