@@ -225,8 +225,16 @@ class Criterion:
 
 
 def schedule_criteria(func: CheckedFunction) -> Tuple[Criterion, ...]:
-    """One criterion per recursive call site of ``func``."""
-    dims = func.dim_names
-    return tuple(
-        Criterion(dims, descent) for descent in extract_descents(func)
-    )
+    """One criterion per recursive call site of ``func``.
+
+    Memoised on the function (criteria are frozen and depend on the
+    body alone): every ``map`` re-derives its schedule set, and the
+    descent extraction would otherwise rerun each time.
+    """
+    criteria = func.__dict__.get("_schedule_criteria")
+    if criteria is None:
+        dims = func.dim_names
+        criteria = func.__dict__["_schedule_criteria"] = tuple(
+            Criterion(dims, descent) for descent in extract_descents(func)
+        )
+    return criteria

@@ -17,6 +17,7 @@ sequence position alone (``S = i``).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence as Seq
@@ -102,6 +103,21 @@ class ProfileSearchResult:
         """Simulated device time of the search."""
         return self.map_result.seconds
 
+    @property
+    def log_likelihoods(self) -> List[float]:
+        """Natural-log likelihoods, one per database sequence.
+
+        Read from the log-space table when the engine runs in log
+        space: ``likelihoods`` (their ``exp``) underflow to 0.0 past
+        roughly 250 residues, these do not.
+        """
+        if self.map_result.log_values:
+            return list(self.map_result.log_values)
+        return [
+            math.log(p) if p > 0 else float("-inf")
+            for p in self.likelihoods
+        ]
+
 
 class ProfileSearch:
     """Profile-vs-database forward search on the simulated GPU."""
@@ -134,9 +150,6 @@ class ProfileSearch:
         self, database: Seq[Sequence], top: int = 10
     ) -> List[Sequence]:
         """Database entries most likely to belong to the family."""
-        result = self.search(database)
-        order = sorted(
-            range(len(database)),
-            key=lambda k: -result.likelihoods[k],
-        )
+        scores = self.search(database).log_likelihoods
+        order = sorted(range(len(database)), key=lambda k: -scores[k])
         return [database[k] for k in order[:top]]

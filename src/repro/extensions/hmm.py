@@ -87,6 +87,7 @@ class Hmm:
                 f"state"
             )
         self._by_name = {s.name: s for s in self.states}
+        self._start, self._end = starts[0], ends[0]
 
     # -- queries -------------------------------------------------------------
 
@@ -103,12 +104,12 @@ class Hmm:
     @property
     def start_state(self) -> State:
         """The unique start state."""
-        return next(s for s in self.states if s.is_start)
+        return self._start
 
     @property
     def end_state(self) -> State:
         """The unique end state."""
-        return next(s for s in self.states if s.is_end)
+        return self._end
 
     def state(self, name: str) -> State:
         """Look a state up by name."""

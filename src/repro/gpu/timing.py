@@ -17,7 +17,7 @@ quantities the paper's design discussion revolves around:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import ceil
 from typing import Dict, Mapping, Optional
 
@@ -46,7 +46,13 @@ def partition_sizes(schedule: Schedule, domain: Domain) -> np.ndarray:
         span = step * (extent - 1)
         contrib = np.zeros(span + 1)
         contrib[::step] = 1.0
-        sizes = np.convolve(sizes, contrib)
+        # Convolving with a single point only scales (and skips
+        # NumPy's convolve set-up, the bulk of a one-axis profile).
+        sizes = (
+            contrib * sizes[0]
+            if len(sizes) == 1
+            else np.convolve(sizes, contrib)
+        )
         if coeff < 0:
             offset -= span
     return sizes
@@ -64,6 +70,12 @@ class KernelCost:
     compute_cycles: float
     memory_cycles: float
     sync_cycles: float
+    #: The partition profile this cost was priced from (one cell
+    #: count per partition, see :func:`partition_sizes`), kept so a
+    #: batched launch of the same problems reuses it.
+    profile: Optional[np.ndarray] = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def cells_per_second(self) -> float:
@@ -76,6 +88,7 @@ def problems_per_sm(
     domain: Domain,
     spec: DeviceSpec,
     schedule: Optional[Schedule] = None,
+    sizes: Optional[np.ndarray] = None,
 ) -> int:
     """How many problems one multiprocessor runs concurrently.
 
@@ -84,9 +97,12 @@ def problems_per_sm(
     to the occupancy limit) so the idle lanes are spent on *other*
     problems — this is what lets tiny models (a 6-state gene finder)
     still saturate the device and reach the paper's x60 (Section 6.2).
+
+    ``sizes``, when given, is the schedule's partition profile over
+    ``domain``, already computed by the caller.
     """
-    schedule = schedule or kernel.schedule
-    sizes = partition_sizes(schedule, domain)
+    if sizes is None:
+        sizes = partition_sizes(schedule or kernel.schedule, domain)
     widest = int(sizes.max()) if len(sizes) else 1
     if widest >= spec.warp_size:
         return 1
@@ -108,22 +124,31 @@ def window_fits_shared(
     spec: DeviceSpec,
     value_bytes: int = 8,
     window=_KERNEL_WINDOW,
+    sizes: Optional[np.ndarray] = None,
 ) -> bool:
     """Can the sliding window live in shared memory? (Section 4.8).
 
     ``window`` overrides the kernel's own window size, so a candidate
     schedule can be priced against one built kernel (op counts are
     schedule-independent) without re-lowering per candidate — the
-    autotuner's hot loop.
+    autotuner's hot loop. ``sizes`` is the partition profile, when
+    the caller already has it.
     """
     if window is _KERNEL_WINDOW:
         window = kernel.window
     if window is None:
         return False
-    sizes = partition_sizes(schedule, domain)
+    if sizes is None:
+        sizes = partition_sizes(schedule, domain)
     widest = int(sizes.max()) if len(sizes) else 0
     rows = window + 1
     return rows * widest * value_bytes <= spec.shared_memory_bytes
+
+
+#: Entries kept in a kernel's per-cell cost memo: one per (device,
+#: model degree, table tier) a kernel is priced for — a handful in
+#: practice; the bound keeps an unusual caller from growing it.
+_CELL_MEMO_SIZE = 16
 
 
 def cell_cost_cycles(
@@ -132,7 +157,30 @@ def cell_cost_cycles(
     mean_degree: float = 1.0,
     table_in_shared: bool = False,
 ) -> Dict[str, float]:
-    """Per-cell cost, split into compute and memory cycles."""
+    """Per-cell cost, split into compute and memory cycles.
+
+    Memoised on the kernel (a ``_``-prefixed entry, which pickles
+    leave out): every problem of a ``map`` prices the same kernel.
+    Callers must not mutate the returned dict.
+    """
+    memo = kernel.__dict__.setdefault("_cell_cycles", {})
+    key = (spec, mean_degree, table_in_shared)
+    cycles = memo.get(key)
+    if cycles is None:
+        if len(memo) >= _CELL_MEMO_SIZE:
+            memo.clear()
+        cycles = memo[key] = _cell_cost_cycles(
+            kernel, spec, mean_degree, table_in_shared
+        )
+    return cycles
+
+
+def _cell_cost_cycles(
+    kernel: Kernel,
+    spec: DeviceSpec,
+    mean_degree: float,
+    table_in_shared: bool,
+) -> Dict[str, float]:
     totals = kernel.counts.scaled_total(mean_degree)
     compute = (
         totals["arith"] * spec.arith_cycles
@@ -168,27 +216,31 @@ def kernel_cost(
     use_window: bool = True,
     schedule: Optional[Schedule] = None,
     window=_KERNEL_WINDOW,
+    sizes: Optional[np.ndarray] = None,
 ) -> KernelCost:
     """Price one problem's kernel execution on the device.
 
     ``schedule``/``window`` override the kernel's own, letting the
     autotuner price alternative schedules against a single lowered
     kernel (the operation counts do not depend on the schedule).
+    ``sizes`` is the schedule's partition profile over ``domain``
+    when the caller already has it; the result carries it as
+    :attr:`KernelCost.profile` either way.
     """
     schedule = schedule or kernel.schedule
-    sizes = partition_sizes(schedule, domain)
+    if sizes is None:
+        sizes = partition_sizes(schedule, domain)
     in_shared = use_window and window_fits_shared(
-        kernel, schedule, domain, spec, window=window
+        kernel, schedule, domain, spec, window=window, sizes=sizes
     )
     per_cell = cell_cost_cycles(
         kernel, spec, mean_degree, table_in_shared=in_shared
     )
     cell_cycles = per_cell["compute"] + per_cell["memory"]
 
-    warp = spec.warp_size
-    warp_batches = np.ceil(sizes / warp)
-    compute_total = float(warp_batches.sum()) * per_cell["compute"]
-    memory_total = float(warp_batches.sum()) * per_cell["memory"]
+    warp_batches = float(np.ceil(sizes / spec.warp_size).sum())
+    compute_total = warp_batches * per_cell["compute"]
+    memory_total = warp_batches * per_cell["memory"]
     sync_total = len(sizes) * spec.sync_cycles
     cycles = compute_total + memory_total + sync_total
     return KernelCost(
@@ -200,6 +252,7 @@ def kernel_cost(
         compute_cycles=compute_total,
         memory_cycles=memory_total,
         sync_cycles=sync_total,
+        profile=sizes,
     )
 
 
@@ -239,6 +292,7 @@ def batched_launch_cost(
     spec: DeviceSpec,
     mean_degree: float = 1.0,
     threads: int = 1,
+    profiles=None,
 ) -> KernelCost:
     """Price one *lane-batched* launch of many same-kernel problems.
 
@@ -257,9 +311,13 @@ def batched_launch_cost(
     OpenMP problem loop): cell work — compute and memory — divides
     across cores, while the per-partition synchronisation cost does
     not (barriers are the serial fraction of the sweep).
+
+    ``profiles`` are the members' partition profiles under the
+    kernel's schedule (say, each member's :attr:`KernelCost.profile`),
+    in ``domains`` order, when the caller already has them.
     """
-    schedule = kernel.schedule
-    profiles = [partition_sizes(schedule, d) for d in domains]
+    if profiles is None:
+        profiles = [partition_sizes(kernel.schedule, d) for d in domains]
     span = max((len(p) for p in profiles), default=1)
     sizes = np.zeros(span)
     for profile in profiles:
@@ -268,13 +326,9 @@ def batched_launch_cost(
         kernel, spec, mean_degree, table_in_shared=False
     )
     share = max(1, int(threads))
-    warp_batches = np.ceil(sizes / spec.warp_size)
-    compute_total = (
-        float(warp_batches.sum()) * per_cell["compute"] / share
-    )
-    memory_total = (
-        float(warp_batches.sum()) * per_cell["memory"] / share
-    )
+    warp_batches = float(np.ceil(sizes / spec.warp_size).sum())
+    compute_total = warp_batches * per_cell["compute"] / share
+    memory_total = warp_batches * per_cell["memory"] / share
     sync_total = span * spec.sync_cycles
     cycles = compute_total + memory_total + sync_total
     return KernelCost(

@@ -78,32 +78,50 @@ class CheckedFunction:
     _expr_types: Dict[int, Type] = field(default_factory=dict, repr=False)
 
     def __getstate__(self) -> Dict[str, object]:
-        # The kernel cache memoises the source form on the function
-        # (``_cache_source_form``); leave it out of pickles so kernel
-        # payloads, and the sandbox digest, do not depend on it.
-        state = dict(self.__dict__)
-        state.pop("_cache_source_form", None)
-        return state
+        # Besides ``_expr_types``, ``_``-prefixed entries are memo
+        # caches filled as the function is used (the parameter split
+        # below, the cache key's ``_cache_source_form`` and
+        # ``_cache_keys``, the schedule criteria); leave them out of
+        # pickles so kernel payloads, and the sandbox digest, depend on
+        # the function alone.
+        return {
+            name: value
+            for name, value in self.__dict__.items()
+            if name == "_expr_types" or not name.startswith("_")
+        }
 
     @property
     def body(self) -> ast.Expr:
         """The function's body expression."""
         return self.definition.body
 
+    def _param_split(self):
+        """(recursive params, calling params, dim names), memoised:
+        every problem of a ``map`` asks for them several times."""
+        split = self.__dict__.get("_params_split")
+        if split is None:
+            recursive = tuple(p for p in self.params if p.is_recursive)
+            split = self.__dict__["_params_split"] = (
+                recursive,
+                tuple(p for p in self.params if not p.is_recursive),
+                tuple(p.name for p in recursive),
+            )
+        return split
+
     @property
     def recursive_params(self) -> Tuple[CheckedParam, ...]:
         """Parameters that span recursion dimensions."""
-        return tuple(p for p in self.params if p.is_recursive)
+        return self._param_split()[0]
 
     @property
     def calling_params(self) -> Tuple[CheckedParam, ...]:
         """Run-invariant parameters."""
-        return tuple(p for p in self.params if not p.is_recursive)
+        return self._param_split()[1]
 
     @property
     def dim_names(self) -> Tuple[str, ...]:
         """Names of the recursion dimensions, in order."""
-        return tuple(p.name for p in self.recursive_params)
+        return self._param_split()[2]
 
     def param(self, name: str) -> CheckedParam:
         """Look a parameter up by name."""

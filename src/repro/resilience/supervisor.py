@@ -39,9 +39,6 @@ from typing import Dict, List, Mapping, Optional, Sequence as Seq, Tuple
 
 import numpy as np
 
-from ..gpu.device import ProblemCost
-from ..gpu.timing import kernel_cost, problems_per_sm
-from ..runtime.values import Bindings
 from .checkpoint import CheckpointLog, partition_ranges
 from .faults import (
     CellCorruption,
@@ -217,27 +214,16 @@ class ExecutionSupervisor:
         from ..runtime.engine import RunResult
 
         engine = self.engine
-        bound = Bindings(dict(bindings))
-        domain = engine.domain_of(func, bound, initial)
-        schedule = engine.schedule_for(func, domain, user_schedule)
-        compiled = engine.compile(func, schedule)
+        bound, domain, compiled = engine.prepare(
+            func, bindings, initial, user_schedule
+        )
         ctx = engine.build_context(compiled, bound, domain)
         table = engine._table_for(compiled.kernel, domain)
         self._execute_supervised(compiled, ctx, domain, table)
 
-        cost = kernel_cost(
-            compiled.kernel,
-            domain,
-            engine.spec,
-            mean_degree=engine.mean_degree(func, bound),
-            use_window=use_window,
-        )
-        problem = ProblemCost(
-            cost.seconds,
-            bytes_in=engine._problem_bytes(domain, bound),
-            packing=problems_per_sm(
-                compiled.kernel, domain, engine.spec
-            ),
+        cost, problem = engine.price(
+            compiled, domain, bound, engine.mean_degree(func, bound),
+            use_window,
         )
         report = engine.device.launch([problem])
         coords = engine.result_coords(func, bound, domain, at, initial)
@@ -279,9 +265,9 @@ class ExecutionSupervisor:
             func, base_bindings, problems,
             initial=initial, use_window=use_window,
         )
-        values: List[object] = [None] * len(prepared)
+        raws: List[object] = [None] * len(prepared)
 
-        def extract(index: int, compiled, table) -> None:
+        def extract(index: int, table) -> None:
             bound, domain, _ = prepared[index]
             coords = (
                 None
@@ -289,9 +275,7 @@ class ExecutionSupervisor:
                 else engine.result_coords(func, bound, domain, at,
                                           initial)
             )
-            values[index] = engine._extract(
-                compiled.kernel, table, coords, reduce
-            )
+            raws[index] = engine._read(table, coords, reduce)
 
         # Lane-batched groups are supervised as *single* launches: one
         # checkpoint stream over the padded batch table, with epoch
@@ -321,19 +305,23 @@ class ExecutionSupervisor:
             # One supervised launch, ``len(group)`` logical problems.
             self.stats.problems += len(group) - 1
             for slot, index in enumerate(group):
-                extract(index, compiled, packed.member_view(slot))
+                extract(index, packed.member_view(slot))
         for index, (bound, domain, compiled) in enumerate(prepared):
             if index in batched:
                 continue
             ctx = engine.build_context(compiled, bound, domain)
             table = engine._table_for(compiled.kernel, domain)
             self._execute_supervised(compiled, ctx, domain, table)
-            extract(index, compiled, table)
+            extract(index, table)
         report = engine.device.launch(problem_costs)
+        values, log_values = engine._map_values(
+            prepared[0][2].kernel if prepared else None, raws
+        )
         return MapResult(
             values, report, usage, costs, "intra",
             lane_batches=len(batch_groups),
             lane_batched_problems=len(batched),
+            log_values=log_values,
         )
 
     # -- supervised execution ------------------------------------------------

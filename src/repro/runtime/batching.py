@@ -65,7 +65,7 @@ import numpy as np
 
 from ..analysis.domain import Domain
 from ..ir.kernel import UB_PREFIX
-from .context import build_context
+from .context import problem_context, shared_context
 
 #: Smallest group worth packing: a singleton gains nothing over the
 #: plain vector path and would only add pad/unpack overhead.
@@ -163,13 +163,15 @@ def pack_group(
         np.int64 if kernel.body.return_kind == "int" else np.float64
     )
     table = np.zeros((size,) + max_extents, dtype=dtype)
+    # The model arrays (mat_*/hmm_*) are built once, from the first
+    # member (grouping guaranteed identity); each member's own context
+    # adds only its bounds, sequences and scalar arguments.
+    shared = shared_context(kernel, members[0][0])
     problem_ctxs = [
-        build_context(kernel, bound, domain)
+        {**shared, **problem_context(kernel, bound, domain)}
         for bound, domain in members
     ]
-    # Shared pieces (mat_*/hmm_*) come from the first member; the
-    # per-problem keys below overwrite its scalar/1-D entries.
-    ctx: Dict[str, object] = dict(problem_ctxs[0])
+    ctx: Dict[str, object] = dict(shared)
     refs = kernel.referenced_names()
     for dim in kernel.dims:
         key = UB_PREFIX + dim

@@ -24,6 +24,19 @@ def build_context(
     domain: Domain,
 ) -> Dict[str, object]:
     """Materialise the context one kernel expects."""
+    ctx = problem_context(kernel, bindings, domain)
+    ctx.update(shared_context(kernel, bindings))
+    return ctx
+
+
+def problem_context(
+    kernel: Kernel,
+    bindings: Bindings,
+    domain: Domain,
+) -> Dict[str, object]:
+    """The per-problem part of a context: dimension bounds
+    (``ub_*``), sequences (``seq_*``) and scalar arguments
+    (``arg_*``)."""
     ctx: Dict[str, object] = {}
     for dim, extent in zip(domain.dims, domain.extents):
         ctx[UB_PREFIX + dim] = extent - 1
@@ -37,6 +50,17 @@ def build_context(
         ctx[f"seq_{name}"] = seq.codes
     for name in refs["scalars"]:
         ctx[f"arg_{name}"] = bindings[name]
+    return ctx
+
+
+def shared_context(
+    kernel: Kernel, bindings: Bindings
+) -> Dict[str, object]:
+    """The model part of a context: matrix (``mat_*``, ``rowidx_*``,
+    ``colidx_*``) and HMM (``hmm_*``) arrays — the same for every
+    problem that binds the same model objects."""
+    ctx: Dict[str, object] = {}
+    refs = kernel.referenced_names()
     for name in refs["matrices"]:
         matrix = bindings[name]
         if not isinstance(matrix, SubstitutionMatrix):

@@ -35,6 +35,7 @@ from ..gpu.timing import (
     batched_launch_cost,
     inter_task_seconds,
     kernel_cost,
+    partition_sizes,
     problems_per_sm,
 )
 from ..ir.kernel import Kernel, build_kernel
@@ -242,6 +243,10 @@ class MapResult:
     #: (``"native-batched"`` / ``"vector-batched"`` /
     #: ``"scalar-batched"`` after demotions).
     batched_backends: List[str] = field(default_factory=list)
+    #: For a log-space kernel, each problem's raw table value (its
+    #: log-probability), in problem order; empty otherwise. ``values``
+    #: holds ``exp`` of these, which underflows to 0.0 on long inputs.
+    log_values: List[Optional[float]] = field(default_factory=list)
 
     @property
     def seconds(self) -> float:
@@ -250,7 +255,12 @@ class MapResult:
 
 
 class Engine:
-    """Compiles and runs DSL functions on the simulated GPU."""
+    """Compiles and runs DSL functions on the simulated GPU.
+
+    ``cache_hits``/``cache_misses`` count kernel-cache lookups. A
+    single run looks up once; a ``map`` looks up once per distinct
+    (schedule, size bucket) among its problems, not once per problem.
+    """
 
     def __init__(
         self,
@@ -314,7 +324,7 @@ class Engine:
         #: circuit breaker, or a batched entry that cannot load (the
         #: service stats endpoint sums this across its worker engines).
         self.native_demotions = 0
-        self._verdicts: Dict[str, tuple] = {}
+        self._verdicts: Dict[tuple, tuple] = {}
         # Memoised rung choice: (content hash, size bucket) -> rung.
         # Keeps the ladder's eligibility probes off the hot path and
         # makes the kernel cache key on the *chosen* rung.
@@ -367,14 +377,15 @@ class Engine:
         """
         if self.verify == "off":
             return None
-        from ..lang.errors import AnalysisError, VerificationError
-        from ..verify import analyze_access, verify_schedule
-
-        key = kernel_cache_key(
-            func, schedule, self.prob_mode, "verify"
-        ) + "/" + repr(domain.extents)
+        key = (
+            kernel_cache_key(func, schedule, self.prob_mode, "verify"),
+            tuple(domain.extents),
+        )
         cached = self._verdicts.get(key)
         if cached is None:
+            from ..lang.errors import AnalysisError
+            from ..verify import analyze_access, verify_schedule
+
             try:
                 certificate, diagnostics = verify_schedule(
                     func, schedule, domain
@@ -418,6 +429,8 @@ class Engine:
                 self.verified_schedules += 1
         certificate, errors = cached
         if errors:
+            from ..lang.errors import VerificationError
+
             raise VerificationError(
                 "verification failed for "
                 f"{func.name!r}:\n"
@@ -863,25 +876,46 @@ class Engine:
     def _extract(
         self, kernel: Kernel, table, coords, reduce: Optional[str] = None
     ) -> object:
-        """Read the result: a coordinate, or a whole-table reduction.
+        """Read the result: a coordinate, or a whole-table reduction."""
+        return self._value(kernel, self._read(table, coords, reduce))
+
+    def _read(self, table, coords, reduce: Optional[str] = None):
+        """The raw result cell: a coordinate, or a whole-table reduction.
 
         ``reduce='max'``/``'min'`` supports optimisation recurrences
         whose answer is the best cell anywhere in the table
         (Smith-Waterman's local alignment score).
         """
         if reduce == "max":
-            raw = table.max()
-        elif reduce == "min":
-            raw = table.min()
-        elif reduce is None:
-            raw = table[coords]
-        else:
-            raise RuntimeDslError(f"unknown reduction {reduce!r}")
+            return table.max()
+        if reduce == "min":
+            return table.min()
+        if reduce is None:
+            return table[coords]
+        raise RuntimeDslError(f"unknown reduction {reduce!r}")
+
+    def _value(self, kernel: Kernel, raw) -> object:
+        """A raw result cell as the caller's value: an ``int``, or a
+        ``float`` (the probability, for a log-space table)."""
         if kernel.body.return_kind == "int":
             return int(raw)
         if kernel.logspace:
             return math.exp(raw) if raw != float("-inf") else 0.0
         return float(raw)
+
+    def _map_values(
+        self, kernel: Optional[Kernel], raws: Seq[object]
+    ) -> Tuple[List[object], List[Optional[float]]]:
+        """A map's ``(values, log_values)`` from its raw result cells
+        (None where a problem did not execute); ``log_values`` is
+        empty unless ``kernel`` is log-space."""
+        values = [
+            None if raw is None else self._value(kernel, raw)
+            for raw in raws
+        ]
+        if kernel is None or not kernel.logspace:
+            return values, []
+        return values, [None if raw is None else float(raw) for raw in raws]
 
     def _problem_bytes(self, domain: Domain, bindings: Bindings) -> float:
         """Rough host->device payload of one problem."""
@@ -902,27 +936,14 @@ class Engine:
         reduce: Optional[str] = None,
     ) -> RunResult:
         """Solve one problem end to end on the simulated device."""
-        bound = Bindings(dict(bindings))
-        domain = self.domain_of(func, bound, initial)
-        schedule = self.schedule_for(
-            func, domain, user_schedule, bindings=bound
+        bound, domain, compiled = self.prepare(
+            func, bindings, initial, user_schedule
         )
-        self.verify_compiled(func, schedule, domain)
-        compiled = self.compile(func, schedule, domain)
         ctx = self.build_context(compiled, bound, domain)
         table = self._table_for(compiled.kernel, domain)
-
-        cost = kernel_cost(
-            compiled.kernel,
-            domain,
-            self.spec,
-            mean_degree=self.mean_degree(func, bound),
-            use_window=use_window,
-        )
-        problem = ProblemCost(
-            cost.seconds,
-            bytes_in=self._problem_bytes(domain, bound),
-            packing=problems_per_sm(compiled.kernel, domain, self.spec),
+        cost, problem = self.price(
+            compiled, domain, bound, self.mean_degree(func, bound),
+            use_window,
         )
         if self.sanitize:
             from ..verify.sanitizer import run_sanitized
@@ -941,6 +962,62 @@ class Engine:
         return RunResult(value, table, compiled.kernel, domain, cost,
                          report)
 
+    def prepare(
+        self,
+        func: CheckedFunction,
+        bindings: Mapping[str, object],
+        initial: Optional[Dict[str, int]] = None,
+        user_schedule: Optional[ast.Expr] = None,
+    ) -> Tuple[Bindings, Domain, CompiledKernel]:
+        """Size, schedule, verify and compile one problem.
+
+        Returns ``(bindings, domain, compiled)``. Shared by :meth:`run`
+        and the resilience supervisor, so a supervised run verifies
+        its schedule and picks its rung for the problem's size exactly
+        as an unsupervised one does.
+        """
+        bound = Bindings(dict(bindings))
+        domain = self.domain_of(func, bound, initial)
+        schedule = self.schedule_for(
+            func, domain, user_schedule, bindings=bound
+        )
+        self.verify_compiled(func, schedule, domain)
+        return bound, domain, self.compile(func, schedule, domain)
+
+    def price(
+        self,
+        compiled: CompiledKernel,
+        domain: Domain,
+        bindings: Bindings,
+        mean_degree: float,
+        use_window: bool = True,
+    ) -> Tuple[KernelCost, ProblemCost]:
+        """Price one prepared problem: its kernel cost, and the
+        per-problem cost the simulated device places on an SM.
+
+        One partition profile feeds the kernel cost, the window check
+        and the occupancy packing; the cost keeps it (as
+        :attr:`KernelCost.profile`) for a batched launch to reuse.
+        """
+        kernel = compiled.kernel
+        sizes = partition_sizes(kernel.schedule, domain)
+        cost = kernel_cost(
+            kernel,
+            domain,
+            self.spec,
+            mean_degree=mean_degree,
+            use_window=use_window,
+            sizes=sizes,
+        )
+        problem = ProblemCost(
+            cost.seconds,
+            bytes_in=self._problem_bytes(domain, bindings),
+            packing=problems_per_sm(
+                kernel, domain, self.spec, sizes=sizes
+            ),
+        )
+        return cost, problem
+
     def prepare_map(
         self,
         func: CheckedFunction,
@@ -956,6 +1033,11 @@ class Engine:
         triples in problem order. Shared by :meth:`map_run` and the
         resilience supervisor (which executes the prepared problems
         under checkpointed supervision instead).
+
+        Work that depends only on the group runs once: one compile
+        per distinct (schedule, size bucket), one mean model degree
+        per distinct set of bound model objects. Every problem is
+        still verified (a memo probe when warm) and priced.
         """
         if self.schedule_mode == "autotune":
             # The compile-time schedule set encodes the min-partition
@@ -972,6 +1054,7 @@ class Engine:
                 schedule_set = None
 
         prepared = []
+        compiled_for: Dict[tuple, CompiledKernel] = {}
         for overrides in problems:
             bound = Bindings({**base_bindings, **overrides})
             domain = self.domain_of(func, bound, initial)
@@ -982,32 +1065,38 @@ class Engine:
                     func, domain, bindings=bound
                 )
             self.verify_compiled(func, schedule, domain)
-            compiled = self.compile(func, schedule, domain)
+            key = (schedule.coefficients, size_bucket(domain))
+            compiled = compiled_for.get(key)
+            if compiled is None:
+                compiled = compiled_for[key] = self.compile(
+                    func, schedule, domain
+                )
             prepared.append((bound, domain, compiled))
 
+        models = [
+            p.name for p in func.calling_params
+            if isinstance(p.type, HmmType)
+        ]
+        degrees: Dict[tuple, float] = {}
         costs: List[KernelCost] = []
         usage: Dict[Tuple[int, ...], int] = {}
         problem_costs: List[ProblemCost] = []
         for bound, domain, compiled in prepared:
-            cost = kernel_cost(
-                compiled.kernel,
-                domain,
-                self.spec,
-                mean_degree=self.mean_degree(func, bound),
-                use_window=use_window,
+            bound_models = tuple(
+                id(bound[name]) for name in models if name in bound
+            )
+            degree = degrees.get(bound_models)
+            if degree is None:
+                degree = degrees[bound_models] = self.mean_degree(
+                    func, bound
+                )
+            cost, problem = self.price(
+                compiled, domain, bound, degree, use_window
             )
             costs.append(cost)
+            problem_costs.append(problem)
             coeffs = compiled.schedule.coefficients
             usage[coeffs] = usage.get(coeffs, 0) + 1
-            problem_costs.append(
-                ProblemCost(
-                    cost.seconds,
-                    bytes_in=self._problem_bytes(domain, bound),
-                    packing=problems_per_sm(
-                        compiled.kernel, domain, self.spec
-                    ),
-                )
-            )
         return prepared, costs, usage, problem_costs
 
     def map_run(
@@ -1053,7 +1142,9 @@ class Engine:
             func, base_bindings, problems,
             initial=initial, use_window=use_window,
         )
-        values: List[object] = [None] * len(prepared)
+        # Raw result cells; converted to values once every problem ran.
+        raws: List[object] = [None] * len(prepared)
+        result_kernel = prepared[0][2].kernel if prepared else None
 
         def run_one(index: int) -> None:
             bound, domain, compiled = prepared[index]
@@ -1070,9 +1161,7 @@ class Engine:
                 if reduce
                 else self.result_coords(func, bound, domain, at, initial)
             )
-            values[index] = self._extract(
-                compiled.kernel, table, coords, reduce
-            )
+            raws[index] = self._read(table, coords, reduce)
 
         if parallelism == "intra":
             # Lane batching: groups of same-kernel vector problems run
@@ -1099,6 +1188,8 @@ class Engine:
             batched_backends: List[str] = []
             for group in batch_groups:
                 bound0, _, compiled = prepared[group[0]]
+                # One compiled object per group (plan_batches keys on
+                # it), so every member was priced on its schedule.
                 members = [
                     (prepared[i][0], prepared[i][1]) for i in group
                 ]
@@ -1118,11 +1209,8 @@ class Engine:
                             func, p_bound, p_domain, at, initial
                         )
                     )
-                    values[index] = self._extract(
-                        compiled.kernel,
-                        packed.member_view(slot),
-                        coords,
-                        reduce,
+                    raws[index] = self._read(
+                        packed.member_view(slot), coords, reduce
                     )
                 if launch.rung == "native":
                     from . import native as native_rt
@@ -1137,6 +1225,7 @@ class Engine:
                         self.spec,
                         mean_degree=self.mean_degree(func, bound0),
                         threads=threads,
+                        profiles=[costs[i].profile for i in group],
                     )
                 )
 
@@ -1147,12 +1236,14 @@ class Engine:
             report = self.device.launch(
                 problem_costs, run=run_unbatched if execute else None
             )
+            values, log_values = self._map_values(result_kernel, raws)
             return MapResult(
                 values, report, usage, costs, "intra",
                 lane_batches=len(batch_groups),
                 lane_batched_problems=len(batched),
                 batched_costs=batched_costs,
                 batched_backends=batched_backends,
+                log_values=log_values,
             )
 
         # Inter/hybrid: functional execution is unchanged; pricing
@@ -1193,4 +1284,8 @@ class Engine:
             ),
             overhead_seconds=self.spec.launch_overhead_s,
         )
-        return MapResult(values, report, usage, costs, parallelism)
+        values, log_values = self._map_values(result_kernel, raws)
+        return MapResult(
+            values, report, usage, costs, parallelism,
+            log_values=log_values,
+        )

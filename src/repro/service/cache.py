@@ -125,9 +125,30 @@ def canonical_kernel_form(
 def kernel_cache_key(
     func, schedule, prob_mode: str, backend: str
 ) -> str:
-    """Content-addressed cache key: sha256 of the canonical form."""
-    text = canonical_kernel_form(func, schedule, prob_mode, backend)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    """Content-addressed cache key: sha256 of the canonical form.
+
+    Memoised on the function like :func:`function_source_form`,
+    keyed by the other inputs of the form — a ``map`` asks for the
+    same few keys once per problem.
+    """
+    memo = getattr(func, "_cache_keys", None)
+    if memo is None:
+        memo = {}
+        try:
+            func._cache_keys = memo
+        except AttributeError:  # frozen/slotted functions: recompute
+            pass
+    inputs = (
+        tuple(schedule.dims), tuple(schedule.coefficients),
+        prob_mode, backend,
+    )
+    key = memo.get(inputs)
+    if key is None:
+        text = canonical_kernel_form(func, schedule, prob_mode, backend)
+        key = memo[inputs] = hashlib.sha256(
+            text.encode("utf-8")
+        ).hexdigest()
+    return key
 
 
 def domain_bucket(extents) -> Tuple[int, ...]:

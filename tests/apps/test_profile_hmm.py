@@ -83,6 +83,49 @@ class TestSearch:
         ranked = search.rank(db + [member], top=1)
         assert ranked[0].name == "member"
 
+    def test_long_family_member_ranks_above_noise(self):
+        """Past ~250 residues every likelihood underflows to 0.0; the
+        ranking reads the log-space values, so a long sequence emitted
+        by the profile still outranks random ones of its length."""
+        import math
+        import random as _random
+
+        profile = build_profile_hmm(
+            [
+                dict(state.emissions)
+                for state in tk_model().states
+                if state.name.startswith("M")
+            ] * 2,
+            insert_prob=0.5,
+            insert_extend=0.95,
+        )
+        rng = _random.Random(7)
+        member = ""
+        while len(member) <= 300:  # walk the model until long enough
+            chars, state = [], profile.start_state
+            while not state.is_end:
+                out = profile.transitions_from(state)
+                step = rng.choices(out, weights=[t.prob for t in out])[0]
+                state = profile.states[step.target]
+                if not state.is_silent:
+                    symbols, weights = zip(*state.emissions)
+                    chars.append(rng.choices(symbols, weights)[0])
+            member = "".join(chars)
+        noise = [
+            random_protein(len(member), seed=k, name=f"noise{k}")
+            for k in range(4)
+        ]
+        db = noise + [Sequence(member, PROTEIN, name="member")]
+        search = ProfileSearch(profile)
+        result = search.search(db)
+        assert result.likelihoods == [0.0] * len(db)  # all underflow
+        assert all(math.isfinite(v) for v in result.log_likelihoods)
+        single = search.engine.run(search.func, {"h": profile, "x": db[-1]})
+        assert result.log_likelihoods[-1] == pytest.approx(
+            single.table[profile.end_state.index, len(member)], rel=1e-12
+        )
+        assert search.rank(db, top=1)[0].name == "member"
+
     def test_search_batch_matches_singles(self, search):
         db = [random_protein(12, seed=k) for k in range(4)]
         batch = search.search(db)

@@ -10,7 +10,8 @@ from repro.resilience import (
     FaultPlan,
     SupervisionPolicy,
 )
-from repro.runtime.engine import Engine
+from repro.runtime.engine import VECTOR_CROSSOVER, Engine
+from repro.runtime.values import ENGLISH, Sequence
 
 
 CHAOS = FaultPlan(
@@ -68,6 +69,40 @@ class TestFaultFree:
         )
         assert result.value == baseline.value
         assert result.table.tobytes() == baseline.table.tobytes()
+
+
+    def test_verifies_the_schedule(self, edit_func, edit_bindings):
+        """A supervised run goes through the schedule verifier, as an
+        unsupervised one does."""
+        engine = Engine()
+        engine.run(edit_func, dict(edit_bindings))
+        supervisor = ExecutionSupervisor(Engine())
+        supervisor.run(edit_func, dict(edit_bindings))
+        assert supervisor.engine.cache_info().verified == 1
+        assert engine.cache_info().verified == 1
+
+    @pytest.mark.parametrize("length", [6, VECTOR_CROSSOVER + 4])
+    def test_same_rung_as_engine_run(
+        self, monkeypatch, edit_func, length
+    ):
+        """The supervisor compiles for the problem's size, so it lands
+        on the rung ``Engine.run`` picks (here without native: scalar
+        under the vector crossover, vector above it)."""
+        monkeypatch.setenv("REPRO_NATIVE_DISABLE", "1")
+        bindings = {
+            "s": Sequence("ab" * (length // 2), ENGLISH),
+            "t": Sequence("ba" * (length // 2), ENGLISH),
+        }
+        engine = Engine()
+        baseline = engine.run(edit_func, dict(bindings))
+        supervisor = ExecutionSupervisor(Engine())
+        result = supervisor.run(edit_func, dict(bindings))
+        assert result.value == baseline.value
+        rungs = dict(engine.cache_info().backends)
+        assert dict(supervisor.engine.cache_info().backends) == rungs
+        assert set(rungs) == {
+            "vector" if length >= VECTOR_CROSSOVER else "scalar"
+        }
 
 
 class TestChaosRecovery:
@@ -336,8 +371,8 @@ class TestDivergencePropagation:
         engine = supervisor.engine
         real_compile = engine.compile
 
-        def buggy_compile(func, schedule):
-            compiled = real_compile(func, schedule)
+        def buggy_compile(func, schedule, domain=None):
+            compiled = real_compile(func, schedule, domain)
             real_run = compiled.run
 
             def run(table, ctx, part_lo=None, part_hi=None):

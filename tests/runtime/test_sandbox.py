@@ -11,7 +11,7 @@ from repro.lang.typecheck import check_function
 from repro.resilience.faults import SandboxHang, WorkerCrash
 from repro.runtime import native, sandbox
 from repro.runtime.engine import Engine
-from repro.runtime.values import Sequence
+from repro.runtime.values import Bindings, Sequence
 
 EN = {"en": "abcdefghijklmnopqrstuvwxyz"}
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
@@ -249,6 +249,49 @@ class TestKernelDigest:
         assert run.digest == before
         kernel_cache_key(func, kernel.schedule, "direct", "native")
         assert sandbox.kernel_digest(kernel) == before
+
+    @needs_cc
+    def test_digest_ignores_warm_map_memos(self, sandboxed):
+        """A warm ``map`` fills memos on the function (parameter split,
+        cache keys, schedule criteria) and on the kernel (per-cell
+        cycles); pickles and the digest leave them all out, but keep
+        the function's expression types."""
+        import pickle
+
+        from repro.ir.kernel import build_kernel
+
+        engine = Engine(backend="native")
+        func = edit_func()
+        problems = [
+            {"s": Sequence(word, ALPHABET)}
+            for word in ("kitten", "mitten", "sit", "knitting")
+        ]
+        base = {"t": Sequence("sitting", ALPHABET)}
+        fresh_func = pickle.dumps(func)
+        domain = engine.domain_of(func, Bindings({**base, **problems[0]}))
+        fresh_kernel = build_kernel(func, engine.schedule_for(func, domain))
+        fresh_payload = fresh_kernel.to_payload()
+        fresh_digest = sandbox.kernel_digest(fresh_kernel)
+
+        for _ in range(2):
+            result = engine.map_run(func, base, problems)
+        (compiled,) = {id(c): c for _, _, c in engine.prepare_map(
+            func, base, problems
+        )[0]}.values()
+        assert result.batched_backends == ["native-batched"]
+        assert {"_params_split", "_cache_keys", "_schedule_criteria"} <= (
+            func.__dict__.keys()
+        )
+        assert compiled.kernel.__dict__.get("_cell_cycles")
+
+        assert pickle.dumps(func) == fresh_func
+        assert compiled.kernel.to_payload() == fresh_payload
+        assert sandbox.kernel_digest(compiled.kernel) == fresh_digest
+        assert compiled.run.digest == fresh_digest
+        state = func.__getstate__()
+        assert "_expr_types" in state
+        assert not [name for name in state if name.startswith("_")
+                    and name != "_expr_types"]
 
 
 class TestEnablement:
