@@ -545,18 +545,15 @@ class DifferentialHarness:
 
         Returns a non-empty detail string on divergence.
         """
-        from ..runtime.values import Bindings
-
         engine = self._engine("auto", case.prob_mode)
-        bound = Bindings(dict(bindings))
         try:
-            domain = engine.domain_of(func, bound, run_kwargs["initial"])
-            schedule = engine.schedule_for(
-                func, domain, run_kwargs["user_schedule"]
+            bound, domain, compiled = engine.prepare(
+                func, bindings, run_kwargs["initial"],
+                run_kwargs["user_schedule"],
             )
-            compiled = engine.compile(func, schedule, domain)
             ctx = engine.build_context(compiled, bound, domain)
             base = engine._table_for(compiled.kernel, domain)
+            schedule = compiled.schedule
             lo = schedule.min_partition(domain)
             hi = schedule.max_partition(domain)
             _verdict, recovered = self._oracle_instance().classify(

@@ -75,9 +75,7 @@ class SanitizerError(DslError):
     Poison reads, intra-partition read/write overlap, out-of-bounds
     accesses or unwritten cells found while executing with
     sanitization enabled — deterministic codegen/schedule bugs, never
-    retried. When a fault injector is active the same observations
-    are classified as :class:`repro.resilience.faults.CellCorruption`
-    (device faults) instead, so the resilience layer handles them.
+    retried.
     """
 
 

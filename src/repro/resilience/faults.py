@@ -18,8 +18,8 @@ failure modes *explicit, seeded and replayable*:
   marker the serving layer uses to classify an error as transient
   (retry from checkpoint) rather than deterministic (fail fast).
 
-Nothing here imports the runtime, so the device simulator and the
-lock-step executor can consume an injector without an import cycle.
+Nothing here imports the runtime, so the runtime's sandbox can raise
+these faults without an import cycle.
 """
 
 from __future__ import annotations
@@ -336,31 +336,6 @@ class FaultInjector:
                         "memory", site, detail=f"cell={coords}"
                     )
                     break
-        return victims
-
-    def corrupt_staged(
-        self, staged: dict, partition: int, problem: int = 0
-    ) -> List[tuple]:
-        """Lock-step variant: corrupt a partition's staged writes.
-
-        Called by :class:`~repro.gpu.executor.LockStepExecutor` at the
-        barrier, before the partition's writes commit. Values become
-        NaN (the semantic executor works on Python floats).
-        """
-        plan = self.plan
-        if plan.corrupt_rate <= 0.0:
-            return []
-        victims: List[tuple] = []
-        site = FaultSite(problem, partition, sm=0, attempt=0,
-                         stage="memory")
-        if not self._enabled(site):
-            return []
-        for cell in sorted(staged):
-            if self._uniform("memory", site, extra=str(cell)) \
-                    < plan.corrupt_rate:
-                staged[cell] = float("nan")
-                victims.append(cell)
-                self._record("memory", site, detail=f"cell={cell}")
         return victims
 
     # -- damage patterns -----------------------------------------------------

@@ -1,10 +1,11 @@
 """The supervised, checkpointed execution layer.
 
-:class:`ExecutionSupervisor` wraps an
-:class:`~repro.runtime.engine.Engine` and exposes the same
-``run``/``map_run`` surface, but executes each problem *epoch by
-epoch* — an epoch being a bounded range of schedule partitions, the
-natural consistency points of the paper's time loop (Fig. 9):
+:class:`ExecutionSupervisor` runs problems through
+:meth:`Engine.run <repro.runtime.engine.Engine.run>` and
+:meth:`~repro.runtime.engine.Engine.map_run` with its own launch
+step, which fills each table *epoch by epoch* — an epoch being a
+bounded range of schedule partitions, the natural consistency points
+of the paper's time loop (Fig. 9):
 
 * before an epoch, the committed table state is the checkpoint;
 * the epoch runs as a partition-range launch
@@ -35,7 +36,7 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence as Seq, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -149,9 +150,12 @@ def _circuit_open(launch) -> bool:
 class ExecutionSupervisor:
     """Supervised ``run``/``map_run`` with checkpointed recovery.
 
-    Drop-in for an engine wherever only ``run``/``map_run`` (and
-    read-only engine attributes, via delegation) are used — the
-    worker pool hands batches to either interchangeably.
+    ``run``/``map_run`` are the engine's own, with
+    :meth:`_execute_supervised` as their launch step; every other
+    attribute falls through to the engine, so the worker pool hands
+    batches to an engine or a supervisor interchangeably. A sanitized
+    engine is refused: epochs step partition ranges of the raw kernel,
+    which the sanitizer's per-partition checks cannot follow.
     """
 
     def __init__(
@@ -166,6 +170,11 @@ class ExecutionSupervisor:
             from ..runtime.engine import Engine
 
             engine = Engine()
+        if engine.sanitize:
+            raise ValueError(
+                "ExecutionSupervisor cannot supervise a sanitized "
+                "engine: supervised epochs bypass the sanitizer"
+            )
         self.engine = engine
         self.policy = policy or SupervisionPolicy()
         if injector is None and plan is not None:
@@ -200,139 +209,37 @@ class ExecutionSupervisor:
 
     # -- public surface ------------------------------------------------------
 
-    def run(
-        self,
-        func,
-        bindings: Mapping[str, object],
-        at: Optional[Mapping[str, int]] = None,
-        initial: Optional[Dict[str, int]] = None,
-        user_schedule=None,
-        use_window: bool = True,
-        reduce: Optional[str] = None,
-    ):
-        """Supervised twin of :meth:`Engine.run`."""
-        from ..runtime.engine import RunResult
-
-        engine = self.engine
-        bound, domain, compiled = engine.prepare(
-            func, bindings, initial, user_schedule
-        )
-        ctx = engine.build_context(compiled, bound, domain)
-        table = engine._table_for(compiled.kernel, domain)
-        self._execute_supervised(compiled, ctx, domain, table)
-
-        cost, problem = engine.price(
-            compiled, domain, bound, engine.mean_degree(func, bound),
-            use_window,
-        )
-        report = engine.device.launch([problem])
-        coords = engine.result_coords(func, bound, domain, at, initial)
-        value = engine._extract(compiled.kernel, table, coords, reduce)
-        return RunResult(
-            value, table, compiled.kernel, domain, cost, report
+    def run(self, *args, **kwargs):
+        """:meth:`Engine.run` with the supervised launch step."""
+        return self.engine.run(
+            *args, launch_step=self._execute_supervised, **kwargs
         )
 
-    def map_run(
-        self,
-        func,
-        base_bindings: Mapping[str, object],
-        problems: Seq[Mapping[str, object]],
-        at: Optional[Mapping[str, int]] = None,
-        initial: Optional[Dict[str, int]] = None,
-        use_window: bool = True,
-        reduce: Optional[str] = None,
-        parallelism: str = "intra",
-        hybrid_threshold: Optional[int] = None,
-        execute: bool = True,
-    ):
-        """Supervised twin of :meth:`Engine.map_run`.
+    def map_run(self, *args, **kwargs):
+        """:meth:`Engine.map_run` with the supervised launch step.
 
-        Only executing intra-task runs are supervised (the service
-        path); pricing-only sweeps and inter/hybrid accounting modes
-        pass straight through to the engine.
+        A lane-batched group is supervised as a *single* launch: one
+        checkpoint stream over the padded batch table, with epoch
+        ranges from the padded domain (a superset of every member's;
+        the batched kernel clamps internally, so an epoch outside a
+        member's range is a no-op for it). Replay, verification and
+        oracle recovery therefore apply to the whole batch at once.
         """
-        from ..runtime.engine import MapResult
-
-        if not execute or parallelism != "intra":
-            return self.engine.map_run(
-                func, base_bindings, problems,
-                at=at, initial=initial, use_window=use_window,
-                reduce=reduce, parallelism=parallelism,
-                hybrid_threshold=hybrid_threshold, execute=execute,
-            )
-        engine = self.engine
-        prepared, costs, usage, problem_costs = engine.prepare_map(
-            func, base_bindings, problems,
-            initial=initial, use_window=use_window,
-        )
-        raws: List[object] = [None] * len(prepared)
-
-        def extract(index: int, table) -> None:
-            bound, domain, _ = prepared[index]
-            coords = (
-                None
-                if reduce
-                else engine.result_coords(func, bound, domain, at,
-                                          initial)
-            )
-            raws[index] = engine._read(table, coords, reduce)
-
-        # Lane-batched groups are supervised as *single* launches: one
-        # checkpoint stream over the padded batch table, with epoch
-        # ranges from the padded domain (a superset of every member's;
-        # the batched kernel clamps internally, so an epoch outside a
-        # member's range is a no-op for it). Replay, verification and
-        # oracle recovery therefore apply to the whole batch at once.
-        batch_groups: List[List[int]] = []
-        batched: set = set()
-        if getattr(engine, "batching", False) and len(prepared) > 1:
-            from ..runtime.batching import pack_group, plan_batches
-
-            batch_groups = plan_batches(prepared)
-            batched = {
-                index for group in batch_groups for index in group
-            }
-        for group in batch_groups:
-            compiled = prepared[group[0]][2]
-            members = [
-                (prepared[i][0], prepared[i][1]) for i in group
-            ]
-            packed = pack_group(compiled, members, indices=group)
-            launch = engine.batched_launch(packed)
-            self._execute_supervised(
-                launch, packed.ctx, packed.padded_domain, packed.table
-            )
-            # One supervised launch, ``len(group)`` logical problems.
-            self.stats.problems += len(group) - 1
-            for slot, index in enumerate(group):
-                extract(index, packed.member_view(slot))
-        for index, (bound, domain, compiled) in enumerate(prepared):
-            if index in batched:
-                continue
-            ctx = engine.build_context(compiled, bound, domain)
-            table = engine._table_for(compiled.kernel, domain)
-            self._execute_supervised(compiled, ctx, domain, table)
-            extract(index, table)
-        report = engine.device.launch(problem_costs)
-        values, log_values = engine._map_values(
-            prepared[0][2].kernel if prepared else None, raws
-        )
-        return MapResult(
-            values, report, usage, costs, "intra",
-            lane_batches=len(batch_groups),
-            lane_batched_problems=len(batched),
-            log_values=log_values,
+        return self.engine.map_run(
+            *args, launch_step=self._execute_supervised, **kwargs
         )
 
     # -- supervised execution ------------------------------------------------
 
     def _execute_supervised(
-        self, compiled, ctx: dict, domain, table: np.ndarray
-    ) -> np.ndarray:
-        """Fill ``table`` epoch by epoch with checkpointed recovery."""
+        self, launch, table: np.ndarray, ctx: dict, domain
+    ):
+        """The supervised launch step: fill ``table`` epoch by epoch
+        with checkpointed recovery; returns the launch that did."""
         problem = next(self._problem_ids)
-        self.stats.problems += 1
-        schedule = compiled.schedule
+        batch = getattr(launch, "batch", None)
+        self.stats.problems += len(batch.indices) if batch else 1
+        schedule = launch.schedule
         p_lo = schedule.min_partition(domain)
         p_hi = schedule.max_partition(domain)
         sm = problem % self.engine.spec.sm_count
@@ -340,18 +247,18 @@ class ExecutionSupervisor:
         for elo, ehi in partition_ranges(
             p_lo, p_hi, self.policy.checkpoint_interval
         ):
-            # ``compiled`` can change mid-problem: a sandboxed native
+            # ``launch`` can change mid-problem: a sandboxed native
             # launch whose circuit breaker opens is demoted, and later
             # epochs stay on the lower rung.
-            state, compiled = self._run_epoch(
-                compiled, ctx, state, elo, ehi, problem, sm
+            state, launch = self._run_epoch(
+                launch, ctx, state, elo, ehi, problem, sm
             )
             self.stats.epochs_committed += 1
             self.stats.partitions_committed += ehi - elo + 1
             self.checkpoints.record(problem, elo, ehi, state)
         if state is not table:
             np.copyto(table, state)
-        return table
+        return launch
 
     def _run_epoch(
         self,

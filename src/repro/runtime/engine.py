@@ -22,7 +22,8 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence as Seq, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Sequence as Seq
 
 import numpy as np
 
@@ -604,21 +605,32 @@ class Engine:
         kernel = launch.kernel
         return self._compile_on(kernel.func, kernel.schedule, lower, kernel)
 
-    def launch(self, launch, table, ctx, domain: Optional[Domain] = None):
-        """Run a compiled kernel or batched launch into ``table``.
+    def launch(self, launch, table, ctx, domain: Domain):
+        """The default launch step: run a compiled kernel or batched
+        launch into ``table``.
 
-        A sandboxed native launch that dies (worker crash, deadline
+        ``domain`` is the problem's (a packed group's padded domain).
+        A sanitized engine runs the table sanitizer instead. A
+        sandboxed native launch that dies (worker crash, deadline
         kill, open circuit breaker) leaves ``table`` untouched: the
         launch is demoted and reruns from a zeroed table, so integer
         kernels recover bitwise-identical. Returns the launch that
         filled the table.
         """
         from ..resilience.faults import SandboxHang, WorkerCrash
+        from .batching import BatchedLaunch
 
+        if self.sanitize:
+            from ..verify.sanitizer import run_sanitized
+
+            run_sanitized(launch, table, ctx, domain)
+            return launch
         try:
             launch.run(table, ctx)
         except (WorkerCrash, SandboxHang):
-            launch = self.demote(launch, domain)
+            # A packed group demotes with no size bucket.
+            batched = isinstance(launch, BatchedLaunch)
+            launch = self.demote(launch, None if batched else domain)
             table[...] = 0
             launch.run(table, ctx)
         return launch
@@ -934,29 +946,27 @@ class Engine:
         user_schedule: Optional[ast.Expr] = None,
         use_window: bool = True,
         reduce: Optional[str] = None,
+        *,
+        launch_step: Optional[Callable] = None,
     ) -> RunResult:
-        """Solve one problem end to end on the simulated device."""
+        """Solve one problem end to end on the simulated device.
+
+        ``launch_step(launch, table, ctx, domain)`` fills the table and
+        returns the launch that did; the default is :meth:`launch`.
+        The resilience supervisor passes its checkpointed step.
+        """
+        step = launch_step or self.launch
         bound, domain, compiled = self.prepare(
             func, bindings, initial, user_schedule
         )
         ctx = self.build_context(compiled, bound, domain)
         table = self._table_for(compiled.kernel, domain)
+        step(compiled, table, ctx, domain)
         cost, problem = self.price(
             compiled, domain, bound, self.mean_degree(func, bound),
             use_window,
         )
-        if self.sanitize:
-            from ..verify.sanitizer import run_sanitized
-
-            execute_one = lambda _k: run_sanitized(  # noqa: E731
-                compiled, table, ctx, domain
-            )
-        else:
-            execute_one = lambda _k: self.launch(  # noqa: E731
-                compiled, table, ctx, domain
-            )
-
-        report = self.device.launch([problem], run=execute_one)
+        report = self.device.launch([problem])
         coords = self.result_coords(func, bound, domain, at, initial)
         value = self._extract(compiled.kernel, table, coords, reduce)
         return RunResult(value, table, compiled.kernel, domain, cost,
@@ -972,9 +982,7 @@ class Engine:
         """Size, schedule, verify and compile one problem.
 
         Returns ``(bindings, domain, compiled)``. Shared by :meth:`run`
-        and the resilience supervisor, so a supervised run verifies
-        its schedule and picks its rung for the problem's size exactly
-        as an unsupervised one does.
+        and the differential fuzzer's oracle leg.
         """
         bound = Bindings(dict(bindings))
         domain = self.domain_of(func, bound, initial)
@@ -1030,9 +1038,7 @@ class Engine:
 
         Returns ``(prepared, costs, usage, problem_costs)`` where
         ``prepared`` is a list of ``(bindings, domain, compiled)``
-        triples in problem order. Shared by :meth:`map_run` and the
-        resilience supervisor (which executes the prepared problems
-        under checkpointed supervision instead).
+        triples in problem order.
 
         Work that depends only on the group runs once: one compile
         per distinct (schedule, size bucket), one mean model degree
@@ -1111,6 +1117,8 @@ class Engine:
         parallelism: str = "intra",
         hybrid_threshold: Optional[int] = None,
         execute: bool = True,
+        *,
+        launch_step: Optional[Callable] = None,
     ) -> MapResult:
         """Solve many problems: the ``map`` primitive (Section 4.7).
 
@@ -1133,11 +1141,14 @@ class Engine:
         device-time accounting differs. ``execute=False`` prices the
         launch without computing the tables (``values`` stay None) —
         for large sweeps where only the timing matters.
+        ``launch_step`` fills each table, per problem and per packed
+        group, as in :meth:`run`.
         """
         if parallelism not in ("intra", "inter", "hybrid"):
             raise RuntimeDslError(
                 f"unknown parallelism {parallelism!r}"
             )
+        step = launch_step or self.launch
         prepared, costs, usage, problem_costs = self.prepare_map(
             func, base_bindings, problems,
             initial=initial, use_window=use_window,
@@ -1146,16 +1157,8 @@ class Engine:
         raws: List[object] = [None] * len(prepared)
         result_kernel = prepared[0][2].kernel if prepared else None
 
-        def run_one(index: int) -> None:
-            bound, domain, compiled = prepared[index]
-            ctx = self.build_context(compiled, bound, domain)
-            table = self._table_for(compiled.kernel, domain)
-            if self.sanitize:
-                from ..verify.sanitizer import run_sanitized
-
-                run_sanitized(compiled, table, ctx, domain)
-            else:
-                self.launch(compiled, table, ctx, domain)
+        def read(index: int, table) -> None:
+            bound, domain, _ = prepared[index]
             coords = (
                 None
                 if reduce
@@ -1163,82 +1166,70 @@ class Engine:
             )
             raws[index] = self._read(table, coords, reduce)
 
-        if parallelism == "intra":
-            # Lane batching: groups of same-kernel vector problems run
-            # as single padded sweeps *before* the per-problem launch
-            # loop (which then skips them). The analytic launch report
-            # keeps the per-problem costs — placement and device time
-            # are modelled unchanged — while ``batched_costs`` records
-            # the amortised (one sync per global partition) pricing.
-            batch_groups: List[List[int]] = []
-            batched: set = set()
-            # Sanitized runs step partition-by-partition; the packed
-            # lane-batch sweep cannot, so batching stands down.
-            if (
-                execute and self.batching and not self.sanitize
-                and len(prepared) > 1
-            ):
-                from .batching import pack_group, plan_batches
+        # Lane batching (intra only): groups of same-kernel problems run
+        # as single padded sweeps *before* the per-problem launch loop
+        # (which then skips them). The analytic launch report keeps the
+        # per-problem costs — placement and device time are modelled
+        # unchanged — while ``batched_costs`` records the amortised
+        # (one sync per global partition) pricing. Sanitized runs step
+        # partition-by-partition; the packed sweep cannot, so batching
+        # stands down.
+        batch_groups: List[List[int]] = []
+        batched: set = set()
+        if (
+            execute and parallelism == "intra" and self.batching
+            and not self.sanitize and len(prepared) > 1
+        ):
+            from .batching import pack_group, plan_batches
 
-                batch_groups = plan_batches(prepared)
-                batched = {
-                    index for group in batch_groups for index in group
-                }
-            batched_costs: List[KernelCost] = []
-            batched_backends: List[str] = []
-            for group in batch_groups:
-                bound0, _, compiled = prepared[group[0]]
-                # One compiled object per group (plan_batches keys on
-                # it), so every member was priced on its schedule.
-                members = [
-                    (prepared[i][0], prepared[i][1]) for i in group
-                ]
-                packed = pack_group(compiled, members, indices=group)
-                # A crash fails the group as a unit: it demotes and
-                # reruns whole.
-                launch = self.launch(
-                    self.batched_launch(packed), packed.table, packed.ctx
-                )
-                batched_backends.append(launch.backend)
-                for slot, index in enumerate(group):
-                    p_bound, p_domain, _ = prepared[index]
-                    coords = (
-                        None
-                        if reduce
-                        else self.result_coords(
-                            func, p_bound, p_domain, at, initial
-                        )
-                    )
-                    raws[index] = self._read(
-                        packed.member_view(slot), coords, reduce
-                    )
-                if launch.rung == "native":
-                    from . import native as native_rt
-
-                    threads = native_rt.effective_threads()
-                else:
-                    threads = 1
-                batched_costs.append(
-                    batched_launch_cost(
-                        compiled.kernel,
-                        [domain for _, domain in members],
-                        self.spec,
-                        mean_degree=self.mean_degree(func, bound0),
-                        threads=threads,
-                        profiles=[costs[i].profile for i in group],
-                    )
-                )
-
-            def run_unbatched(index: int) -> None:
-                if index not in batched:
-                    run_one(index)
-
-            report = self.device.launch(
-                problem_costs, run=run_unbatched if execute else None
+            batch_groups = plan_batches(prepared)
+            batched = {index for group in batch_groups for index in group}
+        batched_costs: List[KernelCost] = []
+        batched_backends: List[str] = []
+        for group in batch_groups:
+            bound0, _, compiled = prepared[group[0]]
+            # One compiled object per group (plan_batches keys on it),
+            # so every member was priced on its schedule.
+            members = [(prepared[i][0], prepared[i][1]) for i in group]
+            packed = pack_group(compiled, members, indices=group)
+            # A crash fails the group as a unit: it demotes and reruns
+            # whole.
+            launch = step(
+                self.batched_launch(packed), packed.table, packed.ctx,
+                packed.padded_domain,
             )
-            values, log_values = self._map_values(result_kernel, raws)
+            batched_backends.append(launch.backend)
+            for slot, index in enumerate(group):
+                read(index, packed.member_view(slot))
+            if launch.rung == "native":
+                from . import native as native_rt
+
+                threads = native_rt.effective_threads()
+            else:
+                threads = 1
+            batched_costs.append(
+                batched_launch_cost(
+                    compiled.kernel,
+                    [domain for _, domain in members],
+                    self.spec,
+                    mean_degree=self.mean_degree(func, bound0),
+                    threads=threads,
+                    profiles=[costs[i].profile for i in group],
+                )
+            )
+        if execute:
+            for index, (bound, domain, compiled) in enumerate(prepared):
+                if index in batched:
+                    continue
+                ctx = self.build_context(compiled, bound, domain)
+                table = self._table_for(compiled.kernel, domain)
+                step(compiled, table, ctx, domain)
+                read(index, table)
+        values, log_values = self._map_values(result_kernel, raws)
+        if parallelism == "intra":
             return MapResult(
-                values, report, usage, costs, "intra",
+                values, self.device.launch(problem_costs), usage, costs,
+                "intra",
                 lane_batches=len(batch_groups),
                 lane_batched_problems=len(batched),
                 batched_costs=batched_costs,
@@ -1248,14 +1239,11 @@ class Engine:
 
         # Inter/hybrid: functional execution is unchanged; pricing
         # splits the problem set by strategy.
-        if execute:
-            for index in range(len(prepared)):
-                run_one(index)
         threshold = hybrid_threshold or 64 * 64
         intra_costs: List[ProblemCost] = []
         inter_domains = []
         mean = 1.0
-        kernel = prepared[0][2].kernel if prepared else None
+        kernel = result_kernel
         for (bound, domain, compiled), cost in zip(
             prepared, problem_costs
         ):
@@ -1284,7 +1272,6 @@ class Engine:
             ),
             overhead_seconds=self.spec.launch_overhead_s,
         )
-        values, log_values = self._map_values(result_kernel, raws)
         return MapResult(
             values, report, usage, costs, parallelism,
             log_values=log_values,

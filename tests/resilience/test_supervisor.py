@@ -354,6 +354,61 @@ class TestSupervisedMap:
         assert supervisor.stats.problems == 0  # unsupervised path
         assert result.report.problems == 1
 
+    def test_fault_free_map_reports_like_engine(
+        self, edit_func, edit_bindings
+    ):
+        """A supervised map runs the engine's own pipeline, so its
+        batched launches are recorded and priced the same way. The
+        words are past the vector crossover, so the group batches with
+        or without a C compiler."""
+        problems = [
+            {"s": Sequence(word, ENGLISH)}
+            for word in ("ab" * 50, "ba" * 50, "abc" * 33, "cab" * 34)
+        ]
+        base = {"t": Sequence("abca" * 25, ENGLISH)}
+        baseline = Engine().map_run(edit_func, base, problems)
+        supervisor = ExecutionSupervisor(Engine(), plan=FaultPlan(seed=1))
+        result = supervisor.map_run(edit_func, base, problems)
+        assert result.values == baseline.values
+        assert baseline.batched_backends
+        assert result.batched_backends == baseline.batched_backends
+        assert result.batched_costs == baseline.batched_costs
+        assert result.costs == baseline.costs
+        assert result.schedule_usage == baseline.schedule_usage
+        assert result.seconds == baseline.seconds
+        assert supervisor.stats.total_faults == 0
+
+    @pytest.mark.parametrize("parallelism", ["inter", "hybrid"])
+    def test_inter_and_hybrid_maps_are_supervised(
+        self, edit_func, edit_bindings, parallelism
+    ):
+        problems = [
+            {"s": Sequence(word, ENGLISH)}
+            for word in ("kitten", "mitten", "witty", "sit")
+        ]
+        base = {"t": edit_bindings["t"]}
+        baseline = Engine().map_run(
+            edit_func, base, problems, parallelism=parallelism
+        )
+        supervisor = ExecutionSupervisor(
+            plan=CHAOS,
+            policy=SupervisionPolicy(checkpoint_interval=4),
+        )
+        result = supervisor.map_run(
+            edit_func, base, problems, parallelism=parallelism
+        )
+        assert result.values == baseline.values
+        assert result.seconds == baseline.seconds
+        assert supervisor.stats.problems == len(problems)
+
+
+class TestSanitizedEngine:
+    def test_supervisor_refuses_a_sanitized_engine(self):
+        """Supervised epochs run the raw kernel, which would silently
+        skip the sanitizer's checks."""
+        with pytest.raises(ValueError, match="sanitized"):
+            ExecutionSupervisor(Engine(sanitize=True))
+
 
 class TestDivergencePropagation:
     def test_buggy_backend_is_permanent(
