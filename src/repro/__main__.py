@@ -129,31 +129,28 @@ def serve_main(argv) -> int:
     )
     args = parser.parse_args(argv)
 
+    from .runtime import sandbox
     from .service.server import (
         ComputeService,
+        chaos_plan,
         install_signal_handlers,
         make_http_server,
     )
 
-    fault_plan = None
-    if (
-        args.chaos_rate > 0.0
-        or args.chaos_corrupt > 0.0
-        or args.chaos_kill > 0.0
-        or args.chaos_hang > 0.0
+    if (args.chaos_kill > 0.0 or args.chaos_hang > 0.0) and not (
+        args.sandbox or sandbox.enabled()
     ):
-        from .resilience import FaultPlan
-
-        fault_plan = FaultPlan(
-            seed=args.chaos_seed,
-            launch_fail_rate=args.chaos_rate,
-            truncate_rate=args.chaos_rate,
-            corrupt_rate=args.chaos_corrupt,
-            corrupt_mode="bitflip",
-            worker_kill_rate=args.chaos_kill,
-            sandbox_hang_rate=args.chaos_hang,
-        )
-
+        parser.error("--chaos-kill/--chaos-hang require --sandbox")
+    if args.sandbox:
+        # Process-wide: every worker engine shares the native runtime.
+        sandbox.configure(True)
+    fault_plan = chaos_plan(
+        rate=args.chaos_rate,
+        corrupt=args.chaos_corrupt,
+        kill=args.chaos_kill,
+        hang=args.chaos_hang,
+        seed=args.chaos_seed,
+    )
     service = ComputeService(
         workers=args.workers,
         queue_capacity=args.queue_capacity,
@@ -165,7 +162,6 @@ def serve_main(argv) -> int:
         backend=args.backend,
         schedule=args.schedule,
         fault_plan=fault_plan,
-        sandbox_native=True if args.sandbox else None,
     )
     server = make_http_server(service, args.host, args.port)
     install_signal_handlers(server, service)
@@ -174,7 +170,7 @@ def serve_main(argv) -> int:
         f"repro service on http://{host}:{port} "
         f"({args.workers} workers, cache="
         f"{args.cache_dir or 'memory-only'}"
-        f"{', sandboxed native' if args.sandbox else ''})",
+        f"{', sandboxed native' if sandbox.enabled() else ''})",
         file=sys.stderr,
     )
     try:

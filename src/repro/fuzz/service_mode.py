@@ -25,7 +25,7 @@ injection sequence reproducible for a given campaign seed.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from .grammar import FuzzCase
 
@@ -53,6 +53,8 @@ class ServiceRoundTrip:
         self.use_native = use_native
         #: prob_mode -> (service, server, thread, host, port)
         self._services: Dict[str, tuple] = {}
+        #: Puts back the sandbox override a chaos service replaced.
+        self._restore_sandbox: Optional[Callable[[], object]] = None
 
     # -- plumbing ------------------------------------------------------------
 
@@ -81,17 +83,22 @@ class ServiceRoundTrip:
                 serve_in_thread,
             )
 
+            if (
+                self.chaos_rate > 0.0
+                and self.use_native
+                and self._restore_sandbox is None
+            ):
+                # Chaos kills subprocesses: only live when the native
+                # sandbox is on (a process-wide switch, restored by
+                # close()).
+                from ..runtime import sandbox
+
+                previous = sandbox.configure(True)
+                self._restore_sandbox = lambda: sandbox.configure(previous)
             service = ComputeService(
                 workers=1,  # single worker: deterministic fault sites
                 prob_mode=prob_mode,
                 fault_plan=self._fault_plan(),
-                # Chaos kills subprocesses: only live when the native
-                # sandbox is on (process-wide switch).
-                sandbox_native=(
-                    True
-                    if self.chaos_rate > 0.0 and self.use_native
-                    else None
-                ),
             )
             server = make_http_server(service, "127.0.0.1", 0)
             thread = serve_in_thread(server)
@@ -152,7 +159,8 @@ class ServiceRoundTrip:
         )
 
     def close(self) -> None:
-        """Shut every service down (drains in-flight work)."""
+        """Shut every service down (drains in-flight work) and restore
+        the sandbox override the chaos services replaced."""
         for service, server, _thread, _host, _port in (
             self._services.values()
         ):
@@ -162,6 +170,9 @@ class ServiceRoundTrip:
             finally:
                 service.shutdown(drain=True)
         self._services.clear()
+        if self._restore_sandbox is not None:
+            self._restore_sandbox()
+            self._restore_sandbox = None
 
     def __enter__(self) -> "ServiceRoundTrip":
         return self

@@ -59,28 +59,24 @@ class SupervisionPolicy:
 
     ``checkpoint_interval`` is the epoch size in partitions (the
     recovery granularity: smaller = cheaper replays, more snapshot
-    copies). ``verify`` picks the corruption detector: ``"scan"``
-    (NaN scan only — catches poison, misses silent bit-flips),
-    ``"replay"`` (every epoch executes twice and must agree bitwise),
-    ``"off"``, or ``"auto"`` (replay when the fault plan can corrupt
-    cells, scan otherwise). ``watchdog_seconds`` bounds one epoch's
-    wall time; ``None`` disables the watchdog unless the plan injects
-    hangs.
+    copies). ``watchdog_seconds`` bounds one epoch's wall time;
+    ``None`` disables the watchdog unless the plan injects hangs.
+
+    The corruption detector follows the fault plan: when it can
+    corrupt cells every epoch executes twice and must agree bitwise
+    (replay verification, which catches silent bit-flips); otherwise
+    a NaN scan catches poisoned cells.
     """
 
     checkpoint_interval: int = 8
     max_replays: int = 8
     watchdog_seconds: Optional[float] = None
-    verify: str = "auto"
-    use_oracle: bool = True
 
     def __post_init__(self) -> None:
         if self.checkpoint_interval < 0:
             raise ValueError("checkpoint_interval must be >= 0")
         if self.max_replays < 0:
             raise ValueError("max_replays must be >= 0")
-        if self.verify not in ("auto", "scan", "replay", "off"):
-            raise ValueError(f"unknown verify mode {self.verify!r}")
 
 
 @dataclass
@@ -187,14 +183,7 @@ class ExecutionSupervisor:
         self._problem_ids = itertools.count()
 
         plan = injector.plan if injector is not None else None
-        verify = self.policy.verify
-        if verify == "auto":
-            verify = (
-                "replay"
-                if plan is not None and plan.corrupt_rate > 0.0
-                else "scan"
-            )
-        self._verify = verify
+        self._replay_verify = plan is not None and plan.corrupt_rate > 0.0
         watchdog = self.policy.watchdog_seconds
         if watchdog is None and plan is not None and (
             plan.hang_rate > 0 or plan.sandbox_hang_rate > 0
@@ -282,7 +271,7 @@ class ExecutionSupervisor:
                     compiled, ctx, base, elo, ehi, problem, sm,
                     next(attempts),
                 )
-                if self._verify == "replay":
+                if self._replay_verify:
                     self.stats.partitions_verified += ehi - elo + 1
                     again = self._attempt(
                         compiled, ctx, base, elo, ehi, problem, sm,
@@ -300,10 +289,7 @@ class ExecutionSupervisor:
                 self.stats.note_fault(fault)
                 if self.on_fault is not None:
                     self.on_fault(fault)
-                if (
-                    isinstance(fault, CellCorruption)
-                    and self.policy.use_oracle
-                ):
+                if isinstance(fault, CellCorruption):
                     # The oracle replays the range cleanly on two
                     # backends: recovery value on agreement, a
                     # permanent BackendDivergenceError otherwise.
@@ -359,11 +345,7 @@ class ExecutionSupervisor:
                 scratch, compiled.schedule, elo, ehi,
                 FaultSite(problem, elo, sm, attempt, "memory"),
             )
-        if (
-            self._verify in ("scan", "replay")
-            and scratch.dtype.kind == "f"
-            and bool(np.isnan(scratch).any())
-        ):
+        if scratch.dtype.kind == "f" and bool(np.isnan(scratch).any()):
             raise CellCorruption(
                 f"NaN cells detected in partitions [{elo}, {ehi}]",
                 FaultSite(problem, elo, sm, attempt, "memory"),

@@ -30,7 +30,7 @@ import numpy as np
 from ..analysis.domain import Domain
 from ..extensions.hmm import Hmm
 from ..gpu.device import ProblemCost, SimulatedDevice, LaunchReport
-from ..gpu.spec import DeviceSpec, GTX480
+from ..gpu.spec import GTX480
 from ..gpu.timing import (
     KernelCost,
     batched_launch_cost,
@@ -265,13 +265,9 @@ class Engine:
 
     def __init__(
         self,
-        device: Optional[DeviceSpec] = None,
         prob_mode: str = "direct",
-        schedule_bound: int = DEFAULT_BOUND,
-        solver: str = "orthant",
         backend: Optional[str] = None,
         kernel_cache: Optional[LRUKernelCache] = None,
-        cache_capacity: int = DEFAULT_CACHE_CAPACITY,
         batching: bool = True,
         verify: str = "schedule",
         sanitize: bool = False,
@@ -291,11 +287,10 @@ class Engine:
             raise ValueError(f"unknown verify mode {verify!r}")
         if schedule not in ("min-partition", "autotune"):
             raise ValueError(f"unknown schedule mode {schedule!r}")
-        self.spec = device or GTX480
+        # Every figure of the paper runs on one device.
+        self.spec = GTX480
         self.device = SimulatedDevice(self.spec)
         self.prob_mode = prob_mode
-        self.schedule_bound = schedule_bound
-        self.solver = solver
         self.backend = backend
         #: Lane-batch eligible ``map`` groups into single vectorised
         #: sweeps (Section 6.1's inter-task parallelism, functionally).
@@ -307,7 +302,7 @@ class Engine:
         self._cache = (
             kernel_cache
             if kernel_cache is not None
-            else LRUKernelCache(cache_capacity)
+            else LRUKernelCache(DEFAULT_CACHE_CAPACITY)
         )
         self.cache_hits = 0
         self.cache_misses = 0
@@ -331,7 +326,7 @@ class Engine:
         # makes the kernel cache key on the *chosen* rung.
         self._rungs: Dict[tuple, str] = {}
         # Memoised schedule search: (function identity, domain
-        # extents, bound, solver) -> schedule. A lane-batched map
+        # extents) -> schedule. A lane-batched map
         # group solves one schedule for the whole batch instead of
         # one per member — on a 64-problem profile search the solver
         # otherwise dominates the host-side cost of the launch. The
@@ -672,18 +667,11 @@ class Engine:
             return validate_user_schedule(func, user_schedule, domain)
         if self.schedule_mode == "autotune":
             return self._autotuned_schedule(func, domain, bindings)
-        key = (
-            id(func),
-            tuple(domain.extents),
-            self.schedule_bound,
-            self.solver,
-        )
+        key = (id(func), tuple(domain.extents))
         memo = self._schedules.get(key)
         if memo is not None and memo[0] is func:
             return memo[1]
-        schedule = find_schedule(
-            func, domain, bound=self.schedule_bound, solver=self.solver
-        )
+        schedule = find_schedule(func, domain)
         self._schedules[key] = (func, schedule)
         return schedule
 
@@ -711,7 +699,6 @@ class Engine:
         memo_key = (
             id(func),
             tuple(domain.extents),
-            self.schedule_bound,
             self.prob_mode,
             "autotune",
         )
@@ -723,7 +710,7 @@ class Engine:
         cache_key = autotune_cache_key(
             func,
             self.prob_mode,
-            self.schedule_bound,
+            DEFAULT_BOUND,
             self.spec.name,
             domain_bucket(domain.extents),
         )
@@ -751,8 +738,6 @@ class Engine:
             domain,
             self.spec,
             prob_mode=self.prob_mode,
-            bound=self.schedule_bound,
-            solver=self.solver,
             mean_degree=(
                 self.mean_degree(func, bindings) if bindings else 1.0
             ),
@@ -1053,9 +1038,7 @@ class Engine:
             schedule_set: Optional[ScheduleSet] = None
         else:
             try:
-                schedule_set = derive_schedule_set(
-                    func, bound=self.schedule_bound
-                )
+                schedule_set = derive_schedule_set(func)
             except ScheduleError:
                 schedule_set = None
 

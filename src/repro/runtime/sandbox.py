@@ -21,20 +21,18 @@ long-lived **worker subprocesses**:
   :class:`~repro.resilience.faults.SandboxHang` — both
   ``DeviceFault`` subclasses, so the supervisor replays them and the
   service retry loop classifies them as device failures.
-* A per-kernel-digest :class:`CircuitBreaker` opens after ``K``
-  crashes (``REPRO_SANDBOX_BREAKER_K``, default 3). It is enforced at
+* A per-kernel-digest :class:`CircuitBreaker` opens after
+  :data:`BREAKER_THRESHOLD` consecutive crashes. It is enforced at
   launch: :class:`SandboxedNativeRun` fails an open-breaker launch
   with ``WorkerCrash`` before spawning anything, and the engine's
   launch helper demotes it down the ladder (native → vector →
-  scalar) like any crash. After a cooldown
-  (``REPRO_SANDBOX_BREAKER_COOLDOWN`` seconds, default 30) the
+  scalar) like any crash. After :data:`BREAKER_COOLDOWN` seconds the
   breaker goes half-open and one probe launch may try native again.
 
 Sandboxing is **opt-in** (serializing tables over a pipe costs real
 throughput): set ``REPRO_NATIVE_SANDBOX=1`` or call
-:func:`configure`. The worker pool size comes from
-``REPRO_SANDBOX_WORKERS`` (default 1) and the default launch
-deadline from ``REPRO_SANDBOX_TIMEOUT`` seconds (default 60).
+:func:`configure`. The pool size is :data:`POOL_SIZE`, and a
+launch without its own deadline gets :data:`LAUNCH_TIMEOUT` seconds.
 """
 
 from __future__ import annotations
@@ -69,6 +67,15 @@ __all__ = [
 ]
 
 _HEADER = struct.Struct(">Q")
+
+#: Worker subprocesses in the pool.
+POOL_SIZE = 1
+#: Deadline, in seconds, of a launch that brings none of its own.
+LAUNCH_TIMEOUT = 60.0
+#: Consecutive crashes that open a kernel's circuit breaker.
+BREAKER_THRESHOLD = 3
+#: Seconds an open breaker waits before going half-open.
+BREAKER_COOLDOWN = 30.0
 
 #: ``src`` directory holding the ``repro`` package — prepended to the
 #: worker's PYTHONPATH so ``python -c "from repro..."`` resolves.
@@ -313,15 +320,11 @@ class CircuitBreaker:
 
     def __init__(
         self,
-        threshold: Optional[int] = None,
-        cooldown: Optional[float] = None,
+        threshold: int = BREAKER_THRESHOLD,
+        cooldown: float = BREAKER_COOLDOWN,
     ) -> None:
-        self.threshold = threshold if threshold is not None else int(
-            os.environ.get("REPRO_SANDBOX_BREAKER_K", "3")
-        )
-        self.cooldown = cooldown if cooldown is not None else float(
-            os.environ.get("REPRO_SANDBOX_BREAKER_COOLDOWN", "30")
-        )
+        self.threshold = threshold
+        self.cooldown = cooldown
         self._lock = threading.Lock()
         #: digest -> (consecutive failures, last-failure monotonic).
         self._entries: Dict[str, Tuple[int, float]] = {}
@@ -369,13 +372,8 @@ class CircuitBreaker:
 class NativeSandbox:
     """A pool of sandbox workers plus checkout/checkin bookkeeping."""
 
-    def __init__(self, size: Optional[int] = None) -> None:
-        self.size = max(
-            1,
-            size
-            if size is not None
-            else int(os.environ.get("REPRO_SANDBOX_WORKERS", "1")),
-        )
+    def __init__(self) -> None:
+        self.size = POOL_SIZE
         self._cond = threading.Condition()
         self._idle: List[WorkerProcess] = []
         self._spawned = 0
@@ -468,9 +466,7 @@ class NativeSandbox:
         from ..resilience.faults import SandboxHang, WorkerCrash
 
         if deadline is None:
-            deadline = float(
-                os.environ.get("REPRO_SANDBOX_TIMEOUT", "60")
-            )
+            deadline = LAUNCH_TIMEOUT
         worker = self._checkout()
         try:
             worker.send(
@@ -554,10 +550,12 @@ def enabled() -> bool:
     return os.environ.get("REPRO_NATIVE_SANDBOX") == "1"
 
 
-def configure(enabled: Optional[bool]) -> None:
-    """Override (or, with ``None``, un-override) sandbox enablement."""
+def configure(enabled: Optional[bool]) -> Optional[bool]:
+    """Override (or, with ``None``, un-override) sandbox enablement;
+    returns the previous override so a caller can restore it."""
     global _ENABLED_OVERRIDE
-    _ENABLED_OVERRIDE = enabled
+    previous, _ENABLED_OVERRIDE = _ENABLED_OVERRIDE, enabled
+    return previous
 
 
 def get_sandbox() -> NativeSandbox:

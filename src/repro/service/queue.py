@@ -3,7 +3,9 @@
 Admission control happens at the front door: a full queue (or a
 draining service) rejects the submission synchronously with a reason,
 instead of buffering without bound — under overload the caller learns
-immediately and can back off.
+immediately and can back off. An admitted job holds its slot until a
+worker starts it (or it ends without starting), so work parked in
+batcher buckets or waiting batches counts against the capacity too.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Deque, Dict, Optional, Tuple
+from typing import Callable, Deque, Dict, Optional, Set, Tuple
 
 
 class AdmissionError(RuntimeError):
@@ -59,14 +61,26 @@ class JobHandle:
         self._done = threading.Event()
         self._value: object = None
         self._error: Optional[BaseException] = None
+        #: Frees the job's admission slot (set by :meth:`JobQueue.submit`;
+        #: idempotent, so every way out of PENDING may call it).
+        self._release: Optional[Callable[[], None]] = None
 
     # -- worker side ---------------------------------------------------------
+
+    def _set_state(self, state: JobState) -> None:
+        self.state = state
+        if self._release is not None:
+            self._release()
+
+    def start(self) -> None:
+        """A worker begins executing the job."""
+        self._set_state(JobState.RUNNING)
 
     def resolve(self, value: object, latency: float) -> None:
         """Deliver a successful result."""
         self._value = value
         self.latency_seconds = latency
-        self.state = JobState.COMPLETED
+        self._set_state(JobState.COMPLETED)
         self._done.set()
 
     def reject(
@@ -78,7 +92,7 @@ class JobHandle:
         """Deliver a failure (or timeout)."""
         self._error = error
         self.latency_seconds = latency
-        self.state = state
+        self._set_state(state)
         self._done.set()
 
     # -- caller side ---------------------------------------------------------
@@ -171,13 +185,18 @@ class Job:
 
 
 class JobQueue:
-    """Bounded FIFO of admitted jobs, with reject-with-reason."""
+    """Bounded FIFO of admitted jobs, with reject-with-reason.
+
+    ``capacity`` bounds the jobs admitted and not yet started: a job
+    keeps its slot after :meth:`pop` until its handle leaves PENDING.
+    """
 
     def __init__(self, capacity: int = 256) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._jobs: Deque[Job] = deque()
+        self._admitted: Set[str] = set()
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._closed = False
@@ -187,13 +206,19 @@ class JobQueue:
         with self._lock:
             if self._closed:
                 raise AdmissionError("service is shutting down")
-            if len(self._jobs) >= self.capacity:
+            if len(self._admitted) >= self.capacity:
                 raise AdmissionError(
                     f"queue full ({self.capacity} jobs waiting); "
                     f"retry later"
                 )
+            self._admitted.add(job.job_id)
+            job.handle._release = lambda: self._release(job.job_id)
             self._jobs.append(job)
             self._not_empty.notify()
+
+    def _release(self, job_id: str) -> None:
+        with self._lock:
+            self._admitted.discard(job_id)
 
     def pop(self, timeout: Optional[float] = None) -> Optional[Job]:
         """Next job, or None after ``timeout`` seconds of emptiness."""

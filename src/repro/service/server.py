@@ -41,7 +41,6 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Mapping, Optional
 
-from ..gpu.spec import DeviceSpec
 from ..lang.errors import DslError
 from ..lang.source import SourceText
 from ..resilience import (
@@ -65,26 +64,29 @@ from .stats import ServiceStats, StatsRegistry
 from .workers import WorkerPool
 
 
-def chaos_plan_from_env(environ=None) -> Optional[FaultPlan]:
-    """Build a :class:`FaultPlan` from ``REPRO_CHAOS_*`` variables.
+#: Maximum retry rounds of one job after a transient failure.
+MAX_RETRIES = 2
 
-    ``REPRO_CHAOS_RATE`` (launch failure + transfer truncation rate),
-    ``REPRO_CHAOS_CORRUPT`` (per-cell corruption rate),
-    ``REPRO_CHAOS_KILL`` / ``REPRO_CHAOS_HANG`` (sandbox worker
-    SIGKILL / hang rates — only live when the native sandbox is on)
-    and ``REPRO_CHAOS_SEED`` let CI run the whole service suite under
-    fault injection without touching any test. Returns ``None`` when
-    chaos is not requested.
+
+def chaos_plan(
+    rate: float = 0.0,
+    corrupt: float = 0.0,
+    kill: float = 0.0,
+    hang: float = 0.0,
+    seed: int = 0,
+) -> Optional[FaultPlan]:
+    """The service's chaos :class:`FaultPlan`, or ``None`` when every
+    rate is zero.
+
+    ``rate`` is the launch failure and transfer truncation rate,
+    ``corrupt`` the per-cell corruption rate, and ``kill`` / ``hang``
+    the sandbox worker SIGKILL / hang rates (only live when the
+    native sandbox is on).
     """
-    environ = os.environ if environ is None else environ
-    rate = float(environ.get("REPRO_CHAOS_RATE", "0") or 0.0)
-    corrupt = float(environ.get("REPRO_CHAOS_CORRUPT", "0") or 0.0)
-    kill = float(environ.get("REPRO_CHAOS_KILL", "0") or 0.0)
-    hang = float(environ.get("REPRO_CHAOS_HANG", "0") or 0.0)
     if rate <= 0.0 and corrupt <= 0.0 and kill <= 0.0 and hang <= 0.0:
         return None
     return FaultPlan(
-        seed=int(environ.get("REPRO_CHAOS_SEED", "0") or 0),
+        seed=seed,
         launch_fail_rate=rate,
         truncate_rate=rate,
         corrupt_rate=corrupt,
@@ -94,8 +96,28 @@ def chaos_plan_from_env(environ=None) -> Optional[FaultPlan]:
     )
 
 
+def chaos_plan_from_env(environ=None) -> Optional[FaultPlan]:
+    """:func:`chaos_plan` from ``REPRO_CHAOS_RATE``,
+    ``REPRO_CHAOS_CORRUPT``, ``REPRO_CHAOS_KILL``, ``REPRO_CHAOS_HANG``
+    and ``REPRO_CHAOS_SEED``, which let CI run the whole service suite
+    under fault injection without touching any test."""
+    environ = os.environ if environ is None else environ
+    return chaos_plan(
+        rate=float(environ.get("REPRO_CHAOS_RATE") or 0.0),
+        corrupt=float(environ.get("REPRO_CHAOS_CORRUPT") or 0.0),
+        kill=float(environ.get("REPRO_CHAOS_KILL") or 0.0),
+        hang=float(environ.get("REPRO_CHAOS_HANG") or 0.0),
+        seed=int(environ.get("REPRO_CHAOS_SEED") or 0),
+    )
+
+
 class ComputeService:
-    """A long-running batch compile-and-execute service."""
+    """A long-running batch compile-and-execute service.
+
+    Native launches run sandboxed when the process-wide switch of
+    :mod:`repro.runtime.sandbox` is on (``REPRO_NATIVE_SANDBOX=1`` or
+    ``sandbox.configure(True)``).
+    """
 
     def __init__(
         self,
@@ -108,23 +130,11 @@ class ComputeService:
         prob_mode: str = "direct",
         backend: str = "auto",
         schedule: str = "min-partition",
-        device: Optional[DeviceSpec] = None,
-        default_timeout: Optional[float] = None,
-        max_retries: int = 2,
-        backoff_seconds: float = 0.05,
         fault_plan: Optional[FaultPlan] = None,
         supervision: Optional[SupervisionPolicy] = None,
-        demote_after: int = 3,
-        sandbox_native: Optional[bool] = None,
     ) -> None:
         if fault_plan is None:
             fault_plan = chaos_plan_from_env()
-        if sandbox_native is not None:
-            # Crash-isolate native launches in worker subprocesses
-            # (process-wide: the engines share the native runtime).
-            from ..runtime import sandbox as native_sandbox
-
-            native_sandbox.configure(sandbox_native)
         self.kernel_cache = (
             PersistentKernelCache(cache_dir, capacity=cache_capacity)
             if cache_dir is not None
@@ -139,9 +149,6 @@ class ComputeService:
             window=batch_window, max_batch=max_batch,
             stats=self.stats_registry,
         )
-        self.default_timeout = default_timeout
-        self.max_retries = max_retries
-
         self.fault_plan = fault_plan
         self.supervision = supervision
 
@@ -151,7 +158,6 @@ class ComputeService:
             # seeds the (kernel digest, size bucket) record the whole
             # pool — and, with ``cache_dir``, every replica — reuses.
             engine = Engine(
-                device=device,
                 prob_mode=prob_mode,
                 backend=backend,
                 schedule=schedule,
@@ -172,8 +178,6 @@ class ComputeService:
             self.registry,
             self.stats_registry,
             workers=workers,
-            backoff_seconds=backoff_seconds,
-            demote_after=demote_after,
         )
         self._closed = False
         self._draining = False
@@ -208,10 +212,8 @@ class ComputeService:
             at=at,
             initial=initial,
             reduce=reduce,
-            timeout=(
-                timeout if timeout is not None else self.default_timeout
-            ),
-            retries_left=self.max_retries,
+            timeout=timeout,
+            retries_left=MAX_RETRIES,
         )
         try:
             self.jobs.submit(job)

@@ -199,7 +199,7 @@ class WorkerPool:
             if not live:
                 return
             for job in live:
-                job.handle.state = JobState.RUNNING
+                job.handle.start()
             attempted = True
             try:
                 result = engine.map_run(

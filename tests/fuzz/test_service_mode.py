@@ -15,10 +15,25 @@ import pytest
 from repro.__main__ import main
 from repro.fuzz.campaign import run_campaign
 from repro.fuzz.differential import FAILURE_CLASSES
-from repro.fuzz.service_mode import SERVICE_FAILURE_CLASSES
+from repro.fuzz.service_mode import (
+    SERVICE_FAILURE_CLASSES,
+    ServiceRoundTrip,
+)
+from repro.runtime import sandbox
 
 
 class TestServiceRoundTrip:
+    def test_close_restores_the_sandbox_override(self):
+        previous = sandbox.configure(False)
+        try:
+            round_trip = ServiceRoundTrip(chaos_rate=0.2, use_native=True)
+            round_trip._endpoint("direct")
+            assert sandbox.enabled()
+            round_trip.close()
+            assert sandbox.configure(previous) is False
+        finally:
+            sandbox.configure(previous)
+
     def test_clean_campaign_through_http(self):
         report = run_campaign(seed=41, count=6, service_mode=True)
         assert report.ok

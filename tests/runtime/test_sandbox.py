@@ -91,13 +91,6 @@ class TestCircuitBreaker:
         assert not breaker.allows("a")
         assert breaker.allows("b")
 
-    def test_env_defaults(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANDBOX_BREAKER_K", "7")
-        monkeypatch.setenv("REPRO_SANDBOX_BREAKER_COOLDOWN", "1.5")
-        breaker = sandbox.CircuitBreaker()
-        assert breaker.threshold == 7
-        assert breaker.cooldown == 1.5
-
 
 @needs_cc
 class TestSandboxedExecution:

@@ -156,7 +156,7 @@ class TestLRUKernelCache:
 
 class TestEngineCacheIntegration:
     def test_engine_cache_is_bounded(self, edit_func):
-        engine = Engine(cache_capacity=1)
+        engine = Engine(kernel_cache=LRUKernelCache(1))
         engine.run(edit_func, ARGS)
         assert engine.cache_info().maxsize == 1
         assert engine.cache_info().currsize == 1

@@ -98,6 +98,33 @@ class TestJobQueue:
         assert "queue full" in excinfo.value.reason
         assert queue.depth() == 2
 
+    def test_popped_job_keeps_its_slot_until_started(self):
+        queue = JobQueue(capacity=1)
+        job = make_job()
+        queue.submit(job)
+        assert queue.pop() is job
+        with pytest.raises(AdmissionError):
+            queue.submit(make_job())
+        job.handle.start()
+        queue.submit(make_job())
+
+    def test_slot_released_once_however_the_job_ends(self):
+        queue = JobQueue(capacity=1)
+        job = make_job()
+        queue.submit(job)
+        job.handle.start()
+        job.handle.resolve(1, latency=0.0)
+        held = make_job()
+        queue.submit(held)
+        # A second exit of the same job frees nothing more.
+        job.handle.reject(ValueError("late"))
+        with pytest.raises(AdmissionError):
+            queue.submit(make_job())
+        held.handle.reject(
+            ValueError("shed"), state=JobState.TIMED_OUT
+        )
+        queue.submit(make_job())
+
     def test_closed_queue_rejects(self):
         queue = JobQueue(capacity=2)
         queue.close()

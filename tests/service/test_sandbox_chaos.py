@@ -136,7 +136,6 @@ class TestServiceSandboxChaos:
             workers=1,
             backend="native",
             fault_plan=KILL_PLAN,
-            sandbox_native=True,
         )
         server = make_http_server(service, "127.0.0.1", 0)
         serve_in_thread(server)

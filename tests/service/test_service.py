@@ -1,6 +1,7 @@
 """End-to-end compute service: batching, determinism, HTTP, overload."""
 
 import threading
+import time
 
 import pytest
 
@@ -124,6 +125,52 @@ class TestComputeService:
             assert rejections > 0
             assert service.stats().rejected == rejections
         finally:
+            service.shutdown(drain=True, timeout=30)
+
+    def test_busy_worker_bounds_admitted_work(self, monkeypatch):
+        """Jobs the batcher has popped keep their admission slot until
+        a worker starts them: with the only worker busy, submission
+        number ``capacity + 2`` is refused."""
+        started, release = threading.Event(), threading.Event()
+        real_map_run = Engine.map_run
+
+        def blocking_map_run(engine, *args, **kwargs):
+            started.set()
+            release.wait(30)
+            return real_map_run(engine, *args, **kwargs)
+
+        monkeypatch.setattr(Engine, "map_run", blocking_map_run)
+        capacity = 4
+        service = ComputeService(
+            workers=1, queue_capacity=capacity, batch_window=0,
+            max_batch=1, backend="scalar",
+        )
+        args = {"s": "kitten", "t": "sitting"}
+
+        def submit_and_let_the_batcher_pop():
+            handle = service.submit(EDIT_PROGRAM, "d", args)
+            deadline = time.monotonic() + 10
+            while service.jobs.depth() and time.monotonic() < deadline:
+                time.sleep(0.001)
+            return handle
+
+        try:
+            handles = [service.submit(EDIT_PROGRAM, "d", args)]
+            assert started.wait(30)
+            for _ in range(capacity):
+                handles.append(submit_and_let_the_batcher_pop())
+            with pytest.raises(AdmissionError, match="queue full"):
+                service.submit(EDIT_PROGRAM, "d", args)
+            release.set()
+            assert [h.result(timeout=30) for h in handles] == [3] * 5
+            # Every finished job gave its slot back.
+            refill = [
+                service.submit(EDIT_PROGRAM, "d", args)
+                for _ in range(capacity)
+            ]
+            assert [h.result(timeout=30) for h in refill] == [3] * 4
+        finally:
+            release.set()
             service.shutdown(drain=True, timeout=30)
 
     def test_shutdown_drains_admitted_jobs(self):
@@ -286,3 +333,17 @@ class TestServiceCli:
         )
         assert code == 0
         assert capsys.readouterr().out.split() == ["3", "3", "3"]
+
+    @pytest.mark.parametrize("flag", ["--chaos-kill", "--chaos-hang"])
+    def test_sandbox_chaos_without_sandbox_is_a_usage_error(
+        self, flag, monkeypatch, capsys
+    ):
+        from repro.__main__ import main
+        from repro.runtime import sandbox
+
+        monkeypatch.delenv("REPRO_NATIVE_SANDBOX", raising=False)
+        monkeypatch.setattr(sandbox, "_ENABLED_OVERRIDE", None)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--port", "0", flag, "0.1"])
+        assert excinfo.value.code == 2
+        assert "require --sandbox" in capsys.readouterr().err
